@@ -136,14 +136,15 @@ def merge_kept(drop_a: DropList, drop_b: DropList, n: int) -> np.ndarray:
     """Ascending indices absent from the union of both parties' drop lists."""
     if n < 0:
         raise ConfigError(f"sequence length must be >= 0, got {n}")
+    # drop indices are strictly increasing, so the last one is the largest
     for name, lst in (("alice", drop_a), ("bob", drop_b)):
-        if len(lst) and lst.indices.max() >= n:
+        if len(lst) and lst.indices[-1] >= n:
             raise ConfigError(
-                f"{name} drop list contains index {lst.indices.max()} >= n={n}"
+                f"{name} drop list contains index {lst.indices[-1]} >= n={n}"
             )
-    dropped = np.union1d(drop_a.indices, drop_b.indices)
     keep = np.ones(n, dtype=bool)
-    keep[dropped] = False
+    keep[drop_a.indices] = False
+    keep[drop_b.indices] = False
     return np.flatnonzero(keep)
 
 

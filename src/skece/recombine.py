@@ -14,6 +14,11 @@ Streams that look more consistent receive larger weights
 and contribute l_i = ceil(L * w_i) bit picks (repaired so the picks sum to
 exactly L). Both parties then draw the same positions from a shared public
 seed and splice the picked bits into a fresh candidate key.
+
+The distances d_i come from one bit-parallel Levenshtein kernel
+(Myers/Hyyrö) that packs all streams into one Python int and advances them
+together: len(X) steps, each a dozen big-int operations on a sum(L_i)-bit
+word. :func:`edit_distance` is the same kernel on a single stream.
 """
 
 from __future__ import annotations
@@ -48,74 +53,75 @@ def _as_symbols(x) -> np.ndarray:
 
 def edit_distance(a, b) -> int:
     """Levenshtein distance with unit-cost insert, delete and substitute."""
-    a = _as_symbols(a)
-    b = _as_symbols(b)
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    offsets = np.arange(b.size + 1)
-    prev = offsets.astype(np.int64)
-    for i in range(a.size):
-        # candidates from deletion and substitution, then a running prefix
-        # minimum folds in the left-to-right insertion dependency
-        cand = np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i]))
-        head = np.concatenate(([i + 1], cand))
-        prev = np.minimum.accumulate(head - offsets) + offsets
-    return int(prev[-1])
+    return int(edit_distances_to_reference([a], b)[0])
+
+
+def _pack(flags: np.ndarray) -> int:
+    """Boolean array to a Python int whose bit i is flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _unpack(word: int, nbits: int) -> np.ndarray:
+    """Inverse of :func:`_pack` for the low ``nbits`` bits of a non-negative int."""
+    raw = np.frombuffer(word.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=nbits, bitorder="little")
 
 
 def edit_distances_to_reference(streams, reference) -> np.ndarray:
     """Levenshtein distance from each stream to one shared reference string.
 
-    Runs the DP for all streams simultaneously (rows indexed by the
-    reference), padding shorter streams; the padded columns never influence
-    the columns that matter.
+    A bit-parallel Myers/Hyyrö kernel (G. Myers, J. ACM 46(3), 1999, in the
+    global-distance form of H. Hyyrö, Nordic J. Computing 10, 2003) with the
+    streams as the pattern and the reference X as the text. Stream k occupies
+    bits [off_k, off_k + len_k) of one Python int, followed by a guard bit
+    that is always 0, so all streams advance together: the loop runs len(X)
+    steps of a dozen big-int operations on one sum(len_k + 1)-bit word,
+    whatever the number of streams.
+
+    Pv/Mv mark where D[i][j] - D[i-1][j] is +1/-1 in the current column j.
+    A carry out of a stream in the horizontal step's sum stops at its guard
+    bit, which is 0 in both addends, and the mask clears it again. Every
+    shifted Ph gets a 1 at each stream's first bit: the global boundary
+    D[0][j] = j. After the last column,
+    d_k = len(X) + popcount(Pv in stream k) - popcount(Mv in stream k).
+    A stream symbol that does not occur in X matches nothing.
     """
     arrays = [_as_symbols(s) for s in streams]
     ref = _as_symbols(reference)
     if not arrays:
         return np.zeros(0, dtype=np.int64)
-    if ref.size == 0:
-        return np.array([a.size for a in arrays], dtype=np.int64)
     lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    width = int(lengths.max())
-    g = len(arrays)
-    sym = np.zeros((g, width), dtype=np.result_type(*arrays) if width else np.uint8)
-    for k, a in enumerate(arrays):
-        sym[k, : a.size] = a
-    offsets = np.arange(width + 1)
-    prev = np.broadcast_to(offsets, (g, width + 1)).astype(np.int64).copy()
-    for i in range(ref.size):
-        cand = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (sym != ref[i]))
-        head = np.concatenate(
-            (np.full((g, 1), i + 1, dtype=np.int64), cand), axis=1
-        )
-        prev = np.minimum.accumulate(head - offsets, axis=1) + offsets
-    return prev[np.arange(g), lengths]
+    ends = np.cumsum(lengths + 1) - 1
+    starts = ends - lengths
+    total = int(ends[-1]) + 1
+    inside = np.ones(total, dtype=bool)
+    inside[ends] = False
+    first = np.zeros(total, dtype=bool)
+    first[starts[lengths > 0]] = True
+    mask, ones = _pack(inside), _pack(first)
 
+    # one code per distinct symbol of X and the streams; guard bits get -1
+    _, inverse = np.unique(np.concatenate([ref, *arrays]), return_inverse=True)
+    ref_codes = inverse[: ref.size].tolist()
+    layout = np.full(total, -1, dtype=np.int64)
+    layout[inside] = inverse[ref.size :]
+    peq = {v: _pack(layout == v) for v in set(ref_codes)}
 
-@dataclass(frozen=True)
-class DiffProbe:
-    """Alice's public difference probe: reference string X and d mod theta."""
+    pv, mv = mask, 0
+    for v in ref_codes:
+        eq = peq[v]
+        xv = eq | mv
+        xh = ((((eq & pv) + pv) & mask) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        ph = (ph << 1) | ones
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
 
-    x: np.ndarray
-    d_mod: np.ndarray
-    theta: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.uint8)
-        d = np.asarray(self.d_mod, dtype=np.int64)
-        if self.theta < 2:
-            raise ConfigError(f"theta must be >= 2, got {self.theta}")
-        if x.size and x.max() > 1:
-            raise ConfigError("X must be a bit string")
-        if d.size and (d.min() < 0 or d.max() >= self.theta):
-            raise ConfigError("d_mod values must lie in [0, theta)")
-        x.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d_mod", d)
+    up = np.concatenate(([0], np.cumsum(_unpack(pv, total), dtype=np.int64)))
+    down = np.concatenate(([0], np.cumsum(_unpack(mv, total), dtype=np.int64)))
+    return ref.size + (up[ends] - up[starts]) - (down[ends] - down[starts])
 
 
 @dataclass(frozen=True)

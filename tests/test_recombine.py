@@ -1,10 +1,21 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skece.channel import ScenarioConfig, simulate
 from skece.errors import ConfigError, DesyncError, InsufficientBitsError, WireFormatError
+from skece.protocol import (
+    MsgType,
+    ProtocolParams,
+    reconcile_bit_streams,
+    run_key_agreement,
+    transcript_to_jsonl,
+)
 from skece.quantizer import BitStream
 from skece.recombine import (
     DiffDegrees,
@@ -71,6 +82,96 @@ class TestEditDistance:
         batched = edit_distances_to_reference(streams, x)
         singles = [edit_distance(s, x) for s in streams]
         assert batched.tolist() == singles
+
+    def test_symbols_absent_from_reference_match_nothing(self):
+        assert edit_distance("abc", "xyz") == 3
+        assert edit_distance([7, 1, 9], [1]) == 2
+        assert edit_distance([0.5, 2.0], [2, 3]) == 2
+
+    def test_rejects_multidimensional_operands(self):
+        with pytest.raises(ConfigError):
+            edit_distance(np.zeros((2, 2)), "1")
+        with pytest.raises(ConfigError):
+            edit_distances_to_reference([[0, 1]], np.zeros((1, 3)))
+
+    def test_no_streams(self):
+        assert edit_distances_to_reference([], [0, 1]).tolist() == []
+
+
+symbol_strings = st.integers(min_value=2, max_value=5).flatmap(
+    lambda k: st.lists(
+        st.one_of(st.integers(0, 70), st.sampled_from([63, 64, 65])),
+        min_size=1,
+        max_size=8,
+    ).flatmap(
+        lambda lengths: st.tuples(
+            st.tuples(
+                *[st.lists(st.integers(0, k - 1), min_size=n, max_size=n) for n in lengths]
+            ),
+            st.lists(st.integers(0, k), max_size=70),
+        )
+    )
+)
+
+
+class TestPackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(case=symbol_strings)
+    def test_matches_recursive_oracle(self, case):
+        streams, x = case
+        got = edit_distances_to_reference([np.array(s, dtype=np.int64) for s in streams], x)
+        assert got.tolist() == [recursive_edit_distance(tuple(s), tuple(x)) for s in streams]
+
+    @pytest.mark.parametrize("x", [np.ones(50), np.zeros(50), np.arange(70) % 3 == 0, []])
+    def test_carries_stay_inside_each_stream(self, x):
+        # (Eq & Pv) + Pv carries through a whole all-ones stream matched
+        # against ones; the zeros stream right above it must not notice
+        streams = [np.ones(64), np.zeros(64), np.ones(65), np.zeros(63), np.ones(1), []]
+        x = np.asarray(x, dtype=np.uint8)
+        batched = edit_distances_to_reference(streams, x)
+        assert batched.tolist() == [
+            edit_distances_to_reference([s], x)[0] for s in streams
+        ]
+        assert batched.tolist() == [
+            recursive_edit_distance(tuple(np.asarray(s, dtype=int)), tuple(x.astype(int)))
+            for s in streams
+        ]
+
+
+def _transcript_digest(messages) -> str:
+    return hashlib.sha256(transcript_to_jsonl(messages).encode("utf-8")).hexdigest()
+
+
+class TestGoldenTranscripts:
+    """Transcripts of two sessions that exchange DIFF_VECTOR, pinned by hash."""
+
+    def test_full_session_from_noisy_traces(self):
+        traces = simulate(ScenarioConfig(m=6, probe_count=400, noise_std=2.0, rng_seed=3))
+        params = ProtocolParams(
+            alpha=0.2, key_length=96, rng_seed=3, max_rounds=5, gamma=0.9999
+        )
+        result, _ = run_key_agreement(traces, params)
+        assert MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+        assert _transcript_digest(result.messages) == (
+            "a6c15c026d2e1b47b1de5c813028bbf555143bdd38021add7de239916d917163"
+        )
+
+    def test_reconciliation_over_unequal_streams(self):
+        rng = np.random.default_rng(2024)
+        streams_a, streams_b = [], []
+        for i, n in enumerate([63, 64, 65, 0, 130, 7, 1]):
+            a = rng.integers(0, 2, n, dtype=np.uint8)
+            b = a.copy()
+            if n:
+                b[rng.choice(n, size=min(n, 1 + n // 20), replace=False)] ^= 1
+            streams_a.append(BitStream(a, party="alice", stream=i))
+            streams_b.append(BitStream(b, party="bob", stream=i))
+        params = ProtocolParams(key_length=64, max_rounds=10, rng_seed=17, gamma=0.9999)
+        result = reconcile_bit_streams(streams_a, streams_b, params)
+        assert MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+        assert _transcript_digest(result.messages) == (
+            "8b7a3ef45456d6bfdf1f41866e47967fda39f7a4cf872d7f7c06551fcfbcf047"
+        )
 
 
 class TestDifferenceDegree:
