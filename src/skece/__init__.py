@@ -10,7 +10,6 @@ and reproducible experiment drivers (:mod:`skece.experiments`).
 """
 
 from .channel import (
-    ChannelSample,
     CsiTrace,
     PairedTraceSet,
     ScenarioConfig,
@@ -34,7 +33,10 @@ from .quantizer import (
     compute_thresholds,
     drop_indices,
     extract_bits,
+    extract_streams,
+    keep_mask,
     merge_kept,
+    quantize_matrix,
 )
 from .validation import ValidationTag, checking_length, make_tag, validate
 # the recombine() operation itself stays namespaced (skece.recombine.recombine)
@@ -75,4 +77,18 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CsiTrace", "PairedTraceSet", "ScenarioConfig", "load_trace", "save_trace", "simulate",
+    "ConfigError", "DesyncError", "InsufficientBitsError", "ProtocolError",
+    "SkeceError", "TraceFormatError", "WireFormatError",
+    "BitStream", "DropList", "Thresholds", "compute_thresholds", "drop_indices",
+    "extract_bits", "extract_streams", "keep_mask", "merge_kept", "quantize_matrix",
+    "ValidationTag", "checking_length", "make_tag", "validate",
+    "Allocation", "DiffDegrees", "RecombinationPlan", "allocate", "difference_degree",
+    "edit_distance", "plan", "success_probability", "weights",
+    "CascadeConfig", "ReconciliationOutcome", "cascade_reconcile",
+    "EveView", "KeyAgreementResult", "MsgType", "ProtocolMessage", "ProtocolParams",
+    "decode", "encode", "eve_attempt", "run_key_agreement",
+    "TestReport", "mismatch_ratio", "nist_approx_entropy", "nist_fft", "nist_frequency",
+    "nist_longest_run", "pearson", "secret_bit_rate",
+]

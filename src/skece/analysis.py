@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erfc, gammaincc
 
 from .errors import ConfigError
-from .quantizer import BitStream
+from .quantizer import _as_bits
 
 P_VALUE_THRESHOLD = 0.01
 
@@ -57,17 +57,6 @@ class RateReport:
     streams: int
     aggregate_rate: float
     mean_stream_rate: float
-
-
-def _as_bits(bits) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ConfigError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ConfigError("bit sequence must contain only 0 and 1")
-    return arr
 
 
 def mismatch_ratio(a, b) -> float:

@@ -36,22 +36,6 @@ MOBILITY_DRIFT_STD = {"static": 0.1, "mobile": 0.25}
 
 
 @dataclass(frozen=True)
-class ChannelSample:
-    """One CSI reading: a (time, subcarrier) cell of a trace."""
-
-    time: float
-    subcarrier: int
-    amplitude_db: float
-    phase_rad: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.amplitude_db):
-            raise ConfigError("amplitude must be finite")
-        if self.subcarrier < 0:
-            raise ConfigError("subcarrier index must be non-negative")
-
-
-@dataclass(frozen=True)
 class CsiTrace:
     """Amplitude/phase sequences for one party, one row per subcarrier.
 
@@ -116,17 +100,6 @@ class CsiTrace:
     def duration(self) -> float:
         """Probing span in seconds (zero for a single probe)."""
         return float(self.times[-1] - self.times[0]) if self.n else 0.0
-
-    def sample(self, subcarrier: int, k: int) -> ChannelSample:
-        return ChannelSample(
-            time=float(self.times[k]),
-            subcarrier=subcarrier,
-            amplitude_db=float(self.amplitude_db[subcarrier, k]),
-            phase_rad=float(self.phase_rad[subcarrier, k]),
-        )
-
-    def subcarrier_amplitudes(self, subcarrier: int) -> np.ndarray:
-        return self.amplitude_db[subcarrier]
 
 
 @dataclass(frozen=True)
@@ -236,12 +209,15 @@ def _ar1(rng: np.random.Generator, shape, std: float, corr: float) -> np.ndarray
         return np.zeros(shape)
     if corr == 0.0:
         return std * z
-    out = np.empty(shape)
-    out[..., 0] = std * z[..., 0]
     innov = std * math.sqrt(1.0 - corr * corr)
-    for k in range(1, shape[-1]):
-        out[..., k] = corr * out[..., k - 1] + innov * z[..., k]
-    return out
+    # stepping Python floats row by row costs no numpy call per step, and
+    # each step rounds exactly as the same expression on arrays would
+    rows = z.reshape(-1, shape[-1]).tolist()
+    for row in rows:
+        prev = row[0] = std * row[0]
+        for k in range(1, len(row)):
+            prev = row[k] = corr * prev + innov * row[k]
+    return np.array(rows).reshape(shape)
 
 
 def _phase_walk(rng: np.random.Generator, shape) -> np.ndarray:

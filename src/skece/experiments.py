@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -31,8 +31,6 @@ class Scenario:
     config: channel.ScenarioConfig
 
     def with_seed(self, rng_seed: int) -> "Scenario":
-        from dataclasses import replace
-
         return Scenario(
             name=self.name,
             description=self.description,
@@ -86,27 +84,13 @@ def probes_for_bits(alpha: float, m: int, target_bits: int, margin: float = 1.35
 
 def extract_party_streams(traces: channel.PairedTraceSet, alpha: float):
     """Both parties' per-stream bits after the drop-list exchange."""
-    out = {}
-    th = {}
-    drops = {}
-    for name, trace in (("alice", traces.alice), ("bob", traces.bob)):
-        pairs = [
-            quantizer.quantize_stream(trace.amplitude_db[i], alpha)
-            for i in range(trace.m)
-        ]
-        th[name] = [p[0] for p in pairs]
-        drops[name] = [p[1] for p in pairs]
-    for name, trace in (("alice", traces.alice), ("bob", traces.bob)):
-        streams = []
-        for i in range(trace.m):
-            kept = quantizer.merge_kept(drops["alice"][i], drops["bob"][i], trace.n)
-            streams.append(
-                quantizer.extract_bits(
-                    trace.amplitude_db[i], th[name][i], kept, party=name, stream=i
-                )
-            )
-        out[name] = streams
-    return out["alice"], out["bob"]
+    quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, alpha)
+    quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, alpha)
+    drops = (quant_a.inside, quant_b.inside)
+    return (
+        quantizer.extract_streams(quant_a, *drops, party="alice"),
+        quantizer.extract_streams(quant_b, *drops, party="bob"),
+    )
 
 
 def stream_counts(traces: channel.PairedTraceSet, alpha: float) -> dict:
@@ -132,24 +116,24 @@ def alpha_sweep(
     """Mean per-stream bit category counts for each alpha over seeded trials."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    rows = []
-    for alpha in alphas:
-        totals = {"ignored": 0.0, "mismatched": 0.0, "matched": 0.0}
-        for t in range(trials):
-            traces = channel.simulate(
-                scenario.with_seed(base_seed + t).config
-            )
+    alphas = list(alphas)
+    totals = [{"ignored": 0.0, "mismatched": 0.0, "matched": 0.0} for _ in alphas]
+    # one simulation per trial serves every alpha; each alpha sums its
+    # trials in trial order, so its mean rounds as a per-alpha loop would
+    for t in range(trials):
+        traces = channel.simulate(scenario.with_seed(base_seed + t).config)
+        for alpha, total in zip(alphas, totals):
             counts = stream_counts(traces, alpha)
-            for k in totals:
-                totals[k] += counts[k]
-        rows.append(
-            {
-                "alpha": float(alpha),
-                **{k: v / trials for k, v in totals.items()},
-                "trials": trials,
-            }
-        )
-    return rows
+            for k in total:
+                total[k] += counts[k]
+    return [
+        {
+            "alpha": float(alpha),
+            **{k: v / trials for k, v in total.items()},
+            "trials": trials,
+        }
+        for alpha, total in zip(alphas, totals)
+    ]
 
 
 def _random_bit_matrix(rng: np.random.Generator, m: int, length: int) -> np.ndarray:
@@ -235,8 +219,6 @@ def key_material(scenario: Scenario, seed: int, min_bits: int = 10_000) -> BitSt
     session, and joins the matched streams' bits (both parties hold the
     identical material).
     """
-    from dataclasses import replace
-
     n = probes_for_bits(scenario.alpha, scenario.config.m, min_bits)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
     traces = channel.simulate(cfg)
@@ -283,13 +265,6 @@ def randomness_battery(
     return rows
 
 
-def _bit_wave_sequence(stream: BitStream, kept: np.ndarray, n: int) -> np.ndarray:
-    """Bits mapped back onto probe indices: +1/-1 where kept, 0 where dropped."""
-    seq = np.zeros(n, dtype=np.float64)
-    seq[kept] = 2.0 * stream.bits.astype(np.float64) - 1.0
-    return seq
-
-
 def attack_experiment(seed: int = 0, probes: int = 2048) -> dict:
     """Periodic line-of-sight blocking, CSI mode versus RSS emulation.
 
@@ -297,33 +272,20 @@ def attack_experiment(seed: int = 0, probes: int = 2048) -> dict:
     attack period, plus a frequency-test report of the CSI-mode key.
     """
     scenario = load_scenario("attack")
-    from dataclasses import replace
-
     results = {}
     for mode in ("csi", "rss"):
         cfg = replace(scenario.config, probe_count=probes, rng_seed=seed)
         if mode == "rss":
             cfg = channel.rss_emulation(cfg)
         traces = channel.simulate(cfg)
-        streams_a, _ = extract_party_streams(traces, scenario.alpha)
+        quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, scenario.alpha)
+        quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, scenario.alpha)
+        keep = quantizer.keep_mask(quant_a.inside, quant_b.inside, quant_a.inside.shape)
         lag = max(1, round(cfg.attack_period / cfg.probe_interval))
-        scores = []
-        waves = []
-        # rebuild the kept map per stream for the sample-indexed wave
-        pairs_a = [
-            quantizer.quantize_stream(traces.alice.amplitude_db[i], scenario.alpha)
-            for i in range(traces.m)
-        ]
-        pairs_b = [
-            quantizer.quantize_stream(traces.bob.amplitude_db[i], scenario.alpha)
-            for i in range(traces.m)
-        ]
-        for i, stream in enumerate(streams_a):
-            kept = quantizer.merge_kept(pairs_a[i][1], pairs_b[i][1], traces.n)
-            wave = _bit_wave_sequence(stream, kept, traces.n)
-            waves.append(wave)
-            scores.append(analysis.periodicity_score(wave, lag))
-        key_bits = np.concatenate([s.bits for s in streams_a])
+        # Alice's bits on probe indices: +1/-1 where kept, 0 where dropped
+        waves = list(np.where(keep, np.where(quant_a.ones, 1.0, -1.0), 0.0))
+        scores = [analysis.periodicity_score(wave, lag) for wave in waves]
+        key_bits = quant_a.ones[keep].astype(np.uint8)
         results[mode] = {
             "scenario": scenario.name,
             "mode": mode,
@@ -344,8 +306,6 @@ def eve_independence(
     scenario: Scenario, seed: int, bits_per_stream: int = 10_000
 ) -> np.ndarray:
     """Per-stream Pearson correlation between Eve's guesses and Alice's bits."""
-    from dataclasses import replace
-
     rate = keep_rate_estimate(scenario.alpha)
     n = math.ceil(bits_per_stream * 1.3 / rate)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
@@ -353,12 +313,8 @@ def eve_independence(
     params = protocol.ProtocolParams(
         alpha=scenario.alpha, key_length=bits_per_stream, max_rounds=0, rng_seed=seed
     )
-    result, eve_view = protocol.run_key_agreement(traces, params)
+    _, eve_view = protocol.run_key_agreement(traces, params)
     streams_a, _ = extract_party_streams(traces, scenario.alpha)
-    reference = [
-        BitStream(s.bits[:bits_per_stream], party="alice", stream=s.stream)
-        for s in streams_a
-    ]
+    reference = [s.bits[:bits_per_stream] for s in streams_a]
     attempt = protocol.eve_attempt(eve_view, reference_streams=reference)
-    del result
     return attempt.correlations

@@ -115,14 +115,6 @@ class Link:
         self.transcript.append(msg)
         return msg
 
-    def count(self, direction: str | None = None, msg_type: MsgType | None = None) -> int:
-        return sum(
-            1
-            for m in self.transcript
-            if (direction is None or m.direction == direction)
-            and (msg_type is None or m.msg_type == msg_type)
-        )
-
 
 @dataclass(frozen=True)
 class MessageCounters:
@@ -318,26 +310,6 @@ def decode_verdict(payload: bytes):
     raise WireFormatError(f"unknown verdict kind {kind}")
 
 
-def _quantize_party(trace: CsiTrace, alpha: float):
-    pairs = [
-        quantizer.quantize_stream(trace.amplitude_db[i], alpha) for i in range(trace.m)
-    ]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def _extract_streams(trace, thresholds, drops_a, drops_b, key_length):
-    streams = []
-    for i in range(trace.m):
-        kept = quantizer.merge_kept(drops_a[i], drops_b[i], trace.n)
-        bits = quantizer.extract_bits(
-            trace.amplitude_db[i], thresholds[i], kept, party=trace.party, stream=i
-        )
-        if len(bits) > key_length:
-            bits = BitStream(bits.bits[:key_length], party=trace.party, stream=i)
-        streams.append(bits)
-    return streams
-
-
 def reconcile_bit_streams(
     streams_a,
     streams_b,
@@ -456,14 +428,19 @@ def run_key_agreement(
     probe traffic enters the counters but not the transcript.
     """
     link = Link()
-    th_a, drops_a = _quantize_party(traces.alice, params.alpha)
-    th_b, drops_b = _quantize_party(traces.bob, params.alpha)
+    quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, params.alpha)
+    quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
 
-    link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(drops_a))
-    link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(drops_b))
+    link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(quant_a.drop_lists()))
+    link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.drop_lists()))
 
-    streams_a = _extract_streams(traces.alice, th_a, drops_a, drops_b, params.key_length)
-    streams_b = _extract_streams(traces.bob, th_b, drops_a, drops_b, params.key_length)
+    drops = (quant_a.inside, quant_b.inside)
+    streams_a = quantizer.extract_streams(
+        quant_a, *drops, party=traces.alice.party, limit=params.key_length
+    )
+    streams_b = quantizer.extract_streams(
+        quant_b, *drops, party=traces.bob.party, limit=params.key_length
+    )
     if sum(len(s) for s in streams_a) < params.key_length:
         raise InsufficientBitsError(
             f"streams hold {sum(len(s) for s in streams_a)} bits, "
@@ -504,20 +481,11 @@ def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
     drops_a = decode_drop_lists(drops[0].payload)
     drops_b = decode_drop_lists(drops[1].payload)
     trace = eve_view.trace
-    guesses = []
-    for i in range(trace.m):
-        kept = quantizer.merge_kept(drops_a[i], drops_b[i], trace.n)
-        samples = trace.amplitude_db[i]
-        th = quantizer.compute_thresholds(samples, eve_view.alpha)
-        values = samples[kept]
-        bits = np.where(
-            values >= th.q_plus,
-            1,
-            np.where(values <= th.q_minus, 0, (values >= th.mu).astype(int)),
-        ).astype(np.uint8)
-        if bits.size > eve_view.key_length:
-            bits = bits[: eve_view.key_length]
-        guesses.append(BitStream(bits, party="eve", stream=i))
+    quant = quantizer.quantize_matrix(trace.amplitude_db, eve_view.alpha)
+    keep = quantizer.keep_mask(drops_a, drops_b, quant.inside.shape)
+    # a kept sample inside her own band is a coin toss; she calls it by her mean
+    guess = quant.ones | (quant.inside & (trace.amplitude_db >= quant.mu[:, None]))
+    guesses = quantizer.split_streams(guess, keep, party="eve", limit=eve_view.key_length)
 
     correlations = None
     if reference_streams is not None:
@@ -549,11 +517,6 @@ def transcript_to_jsonl(transcript) -> str:
         for msg in transcript
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_transcript(transcript, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(transcript_to_jsonl(transcript))
 
 
 def scan_transcript_for_key(transcript, key_bits, window: int = 32) -> int:

@@ -44,7 +44,8 @@ def _as_symbols(x) -> np.ndarray:
     if isinstance(x, BitStream):
         return x.bits
     if isinstance(x, str):
-        return np.frombuffer(x.encode("utf-8"), dtype=np.uint8)
+        # one symbol per code point, not per UTF-8 byte
+        return np.frombuffer(x.encode("utf-32-le"), dtype="<u4")
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ConfigError("edit distance operands must be one-dimensional")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, WireFormatError
-from .quantizer import BitStream
+from .quantizer import _as_bits
 
 MAX_TAG_BITS = 160  # SHA-1 digest length
 
@@ -115,13 +115,3 @@ def decode_tag(buf: bytes, stream_index: int = 0) -> ValidationTag:
         )
     return ValidationTag(r=r, tag=buf[1:], stream_index=stream_index)
 
-
-def _as_bits(bits) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ConfigError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ConfigError("bit sequence must contain only 0 and 1")
-    return arr

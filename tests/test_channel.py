@@ -6,6 +6,7 @@ import pytest
 from skece.analysis import pearson
 from skece.channel import (
     CsiTrace,
+    _ar1,
     ScenarioConfig,
     load_trace,
     rss_emulation,
@@ -19,6 +20,25 @@ def small_config(**overrides):
     base = dict(m=4, probe_count=60, rng_seed=123)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+class TestAr1:
+    @pytest.mark.parametrize("shape", [(1,), (300,), (3, 50), (2, 3, 7)])
+    @pytest.mark.parametrize("corr", [0.0, 0.5, 0.99])
+    def test_matches_the_vectorised_recurrence(self, shape, corr):
+        std = 2.0
+        z = np.random.default_rng(9).standard_normal(shape)
+        expected = np.empty(shape)
+        expected[..., 0] = std * z[..., 0]
+        innov = std * np.sqrt(1.0 - corr * corr)
+        for k in range(1, shape[-1]):
+            expected[..., k] = corr * expected[..., k - 1] + innov * z[..., k]
+        got = _ar1(np.random.default_rng(9), shape, std, corr)
+        assert got.shape == shape
+        assert np.array_equal(got, expected)
+
+    def test_zero_std_is_silent(self):
+        assert not _ar1(np.random.default_rng(0), (2, 5), 0.0, 0.9).any()
 
 
 class TestSimulate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skece import experiments
+from skece import channel, experiments
 from skece.errors import ConfigError
 
 
@@ -57,6 +57,23 @@ class TestAlphaSweep:
         row = rows[0]
         total = row["ignored"] + row["mismatched"] + row["matched"]
         assert total == pytest.approx(sc.config.probe_count)
+
+
+    def test_matches_one_simulation_per_alpha_and_trial(self):
+        sc = experiments.load_scenario("A")
+        alphas, trials, base = [0.0, 0.4, 1.0], 3, 11
+        expected = []
+        for alpha in alphas:
+            totals = {"ignored": 0.0, "mismatched": 0.0, "matched": 0.0}
+            for t in range(trials):
+                traces = channel.simulate(sc.with_seed(base + t).config)
+                counts = experiments.stream_counts(traces, alpha)
+                for k in totals:
+                    totals[k] += counts[k]
+            expected.append(
+                {"alpha": alpha, **{k: v / trials for k, v in totals.items()}, "trials": trials}
+            )
+        assert experiments.alpha_sweep(sc, iter(alphas), trials, base_seed=base) == expected
 
 
 class TestOverheadComparison:

@@ -1,0 +1,121 @@
+"""Golden SHA-256 digests of the trace-driven pipeline.
+
+Each digest pins, byte for byte, what the quantizer feeds into the rest of
+the pipeline: transcripts and keys of full sessions for presets A-F, the
+eavesdropper's guesses for those sessions, key material for one preset,
+the attack experiment's bit waves and one alpha sweep. A change to the
+thresholds, the drop lists, the kept indices, the bit order or the length
+cap changes a digest. The digests were taken from the per-stream quantizer
+that preceded the matrix quantizer.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from skece import channel, experiments, protocol
+
+SEEDS = (0, 1, 2)
+
+
+def _sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(len(chunk).to_bytes(8, "big"))
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _bits(stream) -> bytes:
+    return b"-" if stream is None else stream.bits.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _sessions(preset: str, key_length: int):
+    scenario = experiments.load_scenario(preset)
+    out = []
+    for seed in SEEDS:
+        traces = channel.simulate(scenario.with_seed(seed).config)
+        params = protocol.ProtocolParams(
+            alpha=scenario.alpha, key_length=key_length, rng_seed=seed
+        )
+        out.append(protocol.run_key_agreement(traces, params))
+    return out
+
+
+SESSION_DIGESTS = {
+    ("A", 128): "a7e5c771855705e308dc7a620f1399e62d02986ef3bb93e0aebfb37f66a92ebf",
+    ("B", 128): "8a35d7b917a4d0cb68a168956ebacae69d95ec6162e584c71678249ecf89473a",
+    ("C", 128): "eacfdf4ced027424932ad08b80b015879fb9b8e7771fca958c3fe85223cfcee7",
+    ("D", 128): "eacfdf4ced027424932ad08b80b015879fb9b8e7771fca958c3fe85223cfcee7",
+    ("E", 128): "4cc8d34c46b06f053a32830a26b3031fa2d217efed2cd79eaa2f6e016d6de6b8",
+    ("F", 128): "4944875062ce34ed2c2fbb68eee12322583110e300250a8ed237ea53dcc9dd36",
+    # no stream reaches 256 bits, so these sessions recombine
+    ("C", 256): "feb0c6fbf6af3b3f6e7a12c0b39543044bc402ac1e0a6ec51659d3f378eb7c35",
+}
+
+EVE_DIGESTS = {
+    ("A", 128): "7f30e5f1910a006585ac0583f903d6d4a4af854b275e54267a80a5c35401afe9",
+    ("B", 128): "d9f595b7528307d115286940e345c153ef452d0c787b8bdb5d535d85eba5bd94",
+    ("C", 128): "b188fe0422c9baf778e95223eaeff04cb93917769c81c41a1a9b1d6aac41786a",
+    ("D", 128): "b188fe0422c9baf778e95223eaeff04cb93917769c81c41a1a9b1d6aac41786a",
+    ("E", 128): "986bf076d1057a7fcac7f3d3bbfd2075046925b7c2f149d59710a366f169e6cf",
+    ("F", 128): "53068a759d5180278a7195490b2821a89fd6b44c3b2df9d5626e1f7e0731ce31",
+    ("C", 256): "9883bd78326429149322b9c3ad2c3b61f93afeb1654270655ea61d89bf7a8700",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SESSION_DIGESTS))
+def test_session_transcripts_and_keys(case):
+    chunks = []
+    for result, _ in _sessions(*case):
+        chunks += [
+            protocol.transcript_to_jsonl(result.messages).encode("utf-8"),
+            _bits(result.key),
+            _bits(result.peer_key),
+            str(result.matched_via).encode("ascii"),
+        ]
+    assert _sha(chunks) == SESSION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(EVE_DIGESTS))
+def test_eve_guesses(case):
+    chunks = []
+    for _, eve_view in _sessions(*case):
+        attempt = protocol.eve_attempt(eve_view)
+        chunks += [_bits(s) for s in attempt.bit_streams]
+    assert _sha(chunks) == EVE_DIGESTS[case]
+
+
+def test_recombining_sessions_reach_diff_vector():
+    for result, _ in _sessions("C", 256):
+        assert protocol.MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+
+
+def test_key_material():
+    bits = experiments.key_material(experiments.load_scenario("A"), seed=6, min_bits=2000)
+    assert _sha([bits.bits.tobytes()]) == (
+        "3845e69f543fa07c384560faaa859d5208bb189bb3953793b8c026e0d36856db"
+    )
+
+
+def test_attack_bit_waves():
+    results = experiments.attack_experiment(seed=3, probes=256)
+    chunks = []
+    for mode in ("csi", "rss"):
+        chunks += [np.asarray(w, dtype=np.float64).tobytes() for w in results[mode]["bit_waves"]]
+        chunks.append(str(results[mode]["key_bits"]).encode("ascii"))
+    assert _sha(chunks) == (
+        "c1c12f798fecafed8370c87b396141c6acd7cc9ff3161d2f3434ffbeafce1da8"
+    )
+
+
+def test_alpha_sweep_rows():
+    rows = experiments.alpha_sweep(
+        experiments.load_scenario("C"), [0.0, 0.2, 0.4, 0.7, 1.0], trials=3, base_seed=7
+    )
+    assert _sha([repr(rows).encode("ascii")]) == (
+        "e4217b287da026da9e7bc183b3b1e9670f3ee12659a70a0aac5526ccaad844a7"
+    )

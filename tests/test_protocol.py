@@ -6,8 +6,10 @@ import pytest
 
 from skece import protocol
 from skece.channel import ScenarioConfig, simulate
+from skece import quantizer
 from skece.errors import (
     ConfigError,
+    DesyncError,
     InsufficientBitsError,
     ProtocolError,
     WireFormatError,
@@ -305,6 +307,60 @@ class TestEve:
             key_length=64,
         )
         with pytest.raises(ProtocolError):
+            eve_attempt(view)
+
+
+class TestDropListDesync:
+    """Drop lists that travel the wire and disagree with a party's own band."""
+
+    def wire_drops(self, traces, alpha=0.4):
+        quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, alpha)
+        quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, alpha)
+        drops_a = decode_drop_lists(encode_drop_lists(quant_a.drop_lists()))
+        drops_b = decode_drop_lists(encode_drop_lists(quant_b.drop_lists()))
+        return quant_a, quant_b, drops_a, drops_b
+
+    def test_intact_lists_extract_what_the_session_keys_on(self):
+        traces = simulate(clean_config())
+        quant_a, quant_b, drops_a, drops_b = self.wire_drops(traces)
+        streams_a = quantizer.extract_streams(quant_a, drops_a, drops_b, limit=64)
+        result, _ = run_key_agreement(traces, ProtocolParams(alpha=0.4, key_length=64))
+        pick = int(result.matched_via.split(":")[1])
+        assert np.array_equal(streams_a[pick].bits, result.key.bits)
+
+    def test_corrupted_list_raises_desync(self):
+        traces = simulate(clean_config())
+        quant_a, quant_b, drops_a, drops_b = self.wire_drops(traces)
+        # a drop only Bob made is lost in transit
+        lost = np.setdiff1d(drops_b[2].indices, drops_a[2].indices)[0]
+        drops_b[2] = DropList(drops_b[2].indices[drops_b[2].indices != lost])
+        quantizer.extract_streams(quant_a, drops_a, drops_b)  # Alice's drops are intact
+        with pytest.raises(DesyncError, match="stream 2"):
+            quantizer.extract_streams(quant_b, drops_a, drops_b)
+
+    def test_lists_from_another_session_raise_desync(self):
+        quant_a, _, drops_a, _ = self.wire_drops(simulate(clean_config()))
+        _, _, foreign_a, foreign_b = self.wire_drops(simulate(clean_config(rng_seed=22)))
+        with pytest.raises(DesyncError):
+            quantizer.extract_streams(quant_a, foreign_a, foreign_b)
+
+    def test_stream_count_mismatch_raises_desync(self):
+        traces = simulate(clean_config())
+        quant_a, _, drops_a, drops_b = self.wire_drops(traces)
+        with pytest.raises(DesyncError):
+            quantizer.extract_streams(quant_a, drops_a[:-1], drops_b)
+        view = EveView(
+            transcript=[
+                ProtocolMessage(MsgType.DROP_LIST, encode_drop_lists(drops_a[:-1]), A_TO_B),
+                ProtocolMessage(MsgType.DROP_LIST, encode_drop_lists(drops_b), B_TO_A),
+            ],
+            trace=traces.eve,
+            alpha=0.4,
+            gamma=0.98,
+            theta=5,
+            key_length=64,
+        )
+        with pytest.raises(DesyncError):
             eve_attempt(view)
 
 

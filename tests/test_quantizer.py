@@ -9,7 +9,10 @@ from skece.quantizer import (
     compute_thresholds,
     drop_indices,
     extract_bits,
+    extract_streams,
+    keep_mask,
     merge_kept,
+    quantize_matrix,
 )
 
 
@@ -112,6 +115,71 @@ class TestExtractBits:
         th = compute_thresholds([1.0, 3.0], alpha=1.0)
         with pytest.raises(ConfigError):
             extract_bits([1.0, 3.0], th, [0, 5])
+
+
+class TestMatrixQuantizer:
+    def test_rows_match_the_one_stream_api(self):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 120))
+            alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
+            amp_a = rng.normal(20, 4, size=(m, n))
+            amp_b = amp_a + rng.normal(0, 1, size=(m, n))
+            if trial % 2:
+                # half-integer grid: samples can sit exactly on a threshold
+                amp_a, amp_b = np.round(2 * amp_a) / 2, np.round(2 * amp_b) / 2
+            qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
+            keep = keep_mask(qa.inside, qb.inside, (m, n))
+            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
+            streams_b = extract_streams(qb, qa.drop_lists(), qb.inside, "bob", n // 3)
+            for i in range(m):
+                th_a = compute_thresholds(amp_a[i], alpha)
+                th_b = compute_thresholds(amp_b[i], alpha)
+                assert (qa.mu[i], qa.sigma[i]) == (th_a.mu, th_a.sigma)
+                drop_a, drop_b = drop_indices(amp_a[i], th_a), drop_indices(amp_b[i], th_b)
+                assert qa.drop_lists()[i].indices.tolist() == drop_a.indices.tolist()
+                kept = merge_kept(drop_a, drop_b, n)
+                assert np.flatnonzero(keep[i]).tolist() == kept.tolist()
+                assert streams_a[i] == extract_bits(amp_a[i], th_a, kept, "alice", i)
+                full_b = extract_bits(amp_b[i], th_b, kept, "bob", i)
+                assert streams_b[i] == BitStream(full_b.bits[: n // 3], "bob", i)
+
+    def test_boundary_inclusive_rule(self):
+        q = quantize_matrix([[1.0, 3.0], [0.0, 0.0]], alpha=1.0)
+        assert not q.inside.any()
+        assert q.ones.tolist() == [[False, True], [True, True]]
+
+    @pytest.mark.parametrize(
+        "amplitudes,alpha",
+        [([1.0, 2.0], 1.0), ([[1.0]], 1.0), ([[1.0, float("nan")]], 1.0), ([[1.0, 2.0]], -0.5)],
+    )
+    def test_rejects_bad_inputs(self, amplitudes, alpha):
+        with pytest.raises(ConfigError):
+            quantize_matrix(amplitudes, alpha)
+
+    def test_keep_mask_from_drop_lists_equals_mask_form(self):
+        rng = np.random.default_rng(3)
+        qa = quantize_matrix(rng.normal(size=(5, 40)), 0.5)
+        qb = quantize_matrix(rng.normal(size=(5, 40)), 0.5)
+        from_masks = keep_mask(qa.inside, qb.inside, (5, 40))
+        from_lists = keep_mask(qa.drop_lists(), qb.drop_lists(), (5, 40))
+        assert np.array_equal(from_masks, from_lists)
+        assert np.array_equal(from_masks, ~(qa.inside | qb.inside))
+
+    def test_keep_mask_rejects_wrong_stream_count_and_range(self):
+        with pytest.raises(DesyncError):
+            keep_mask([DropList([0])], [DropList([]), DropList([])], (2, 4))
+        with pytest.raises(DesyncError):
+            keep_mask(np.zeros((3, 4), dtype=bool), np.zeros((2, 4), dtype=bool), (2, 4))
+        with pytest.raises(ConfigError):
+            keep_mask([DropList([4])], [DropList([])], (1, 4))
+
+    def test_kept_in_band_sample_signals_desync(self):
+        q = quantize_matrix([[0.0, 10.0, 5.0], [0.0, 10.0, 5.0]], alpha=0.5)
+        drops = [DropList([2]), DropList([])]
+        assert len(extract_streams(q, q.inside, drops)[1]) == 2
+        with pytest.raises(DesyncError, match="stream 1: kept index 2"):
+            extract_streams(q, drops, drops)
 
 
 class TestProperties:

@@ -88,6 +88,13 @@ class TestEditDistance:
         assert edit_distance([7, 1, 9], [1]) == 2
         assert edit_distance([0.5, 2.0], [2, 3]) == 2
 
+    @pytest.mark.parametrize(
+        "a,b,d", [("日本", "日", 1), ("é", "e", 1), ("\U0001F600a", "a", 1), ("日本", "本日", 2)]
+    )
+    def test_strings_compare_code_points(self, a, b, d):
+        assert edit_distance(a, b) == d
+        assert edit_distance(a, b) == recursive_edit_distance(a, b)
+
     def test_rejects_multidimensional_operands(self):
         with pytest.raises(ConfigError):
             edit_distance(np.zeros((2, 2)), "1")
