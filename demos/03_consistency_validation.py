@@ -7,7 +7,7 @@ avalanche property makes unequal streams produce unrelated digests.
 
 import numpy as np
 
-from skece import validation
+from skece import protocol, validation
 
 for gamma in (0.5, 0.9, 0.98, 0.999):
     print(f"target confidence {gamma:>6}: checking length r = "
@@ -20,8 +20,11 @@ twin[150] ^= 1
 
 r = validation.checking_length(0.98)
 tag = validation.make_tag(stream, r)
+frame = protocol.encode(
+    protocol.ProtocolMessage(protocol.MsgType.TAGS, protocol.encode_tags([tag], r))
+)
 print(f"\n6-bit tag of a 300-bit stream: {tag.tag.hex()} "
-      f"(wire cost {len(validation.encode_tag(tag))} bytes)")
+      f"(wire cost {len(frame)} bytes as a one-tag TAGS frame)")
 print("identical stream validates:", validation.validate(tag, stream, r))
 print("one flipped bit validates: ", validation.validate(tag, twin, r))
 

@@ -9,6 +9,9 @@ rounds: per round Alice publishes a fresh seed, both derive the same pick
 plan, and the candidate is validated by tag. Every wire message is recorded
 in the transcript and mirrored into the eavesdropper's view.
 
+Both parties run in one process, but each reads its peer only through
+:meth:`Link.send`, which returns what the receiver decodes from the frame.
+
 Wire format: TLV frames of 1-byte type, 4-byte big-endian payload length,
 payload. Payloads never carry raw key bits; only drop indices, truncated
 digests, modular distances, the public reference string, seeds, parities
@@ -32,7 +35,7 @@ from .errors import (
     ProtocolError,
     WireFormatError,
 )
-from .quantizer import BitStream, DropList
+from .quantizer import BitStream
 
 A_TO_B = "A->B"
 B_TO_A = "B->A"
@@ -40,7 +43,6 @@ B_TO_A = "B->A"
 _FRAME = struct.Struct(">BI")
 _SEED = struct.Struct(">Q")
 _COUNT16 = struct.Struct(">H")
-_COUNT32 = struct.Struct(">I")
 
 VERDICT_MISMATCH = 0
 VERDICT_MATCH = 1
@@ -109,11 +111,12 @@ class Link:
     def __init__(self):
         self.transcript: list[ProtocolMessage] = []
 
-    def send(self, direction: str, msg_type: MsgType, payload: bytes) -> ProtocolMessage:
+    def send(self, direction: str, msg_type: MsgType, payload: bytes) -> bytes:
+        """Record one message; return the payload the receiver decodes from its frame."""
         msg = ProtocolMessage(msg_type=msg_type, payload=payload, direction=direction)
-        encode(msg)  # reject anything that cannot be framed
+        frame = encode(msg)  # reject anything that cannot be framed
         self.transcript.append(msg)
-        return msg
+        return decode(frame).payload
 
 
 @dataclass(frozen=True)
@@ -220,34 +223,47 @@ class EveAttempt:
     correlations: np.ndarray | None
 
 
-def encode_drop_lists(drop_lists) -> bytes:
-    parts = [_COUNT16.pack(len(drop_lists))]
-    for dl in drop_lists:
-        idx = dl.indices
-        parts.append(_COUNT32.pack(idx.size))
-        parts.append(idx.astype(">u4").tobytes())
-    return b"".join(parts)
+def encode_drop_lists(inside) -> bytes:
+    """DROP_LIST payload of an (m, n) drop mask: m, then per row a count and indices.
+
+    m is 2 bytes; counts and indices are 4-byte words, all big-endian.
+    """
+    inside = np.asarray(inside, dtype=bool)
+    if inside.shape[0] > 0xFFFF:
+        raise WireFormatError(f"too many streams for the wire format: {inside.shape[0]}")
+    counts = inside.sum(axis=1)
+    # each row's count goes in front of that row's indices
+    words = np.insert(np.nonzero(inside)[1], np.cumsum(counts) - counts, counts)
+    return _COUNT16.pack(inside.shape[0]) + words.astype(">u4").tobytes()
 
 
-def decode_drop_lists(payload: bytes) -> list[DropList]:
+def decode_drop_lists(payload: bytes, n: int) -> np.ndarray:
+    """Inverse of :func:`encode_drop_lists`: the (m, n) mask of streams of ``n`` samples."""
     if len(payload) < _COUNT16.size:
         raise WireFormatError("drop-list payload lacks the stream count")
     (m,) = _COUNT16.unpack_from(payload)
-    off = _COUNT16.size
-    out = []
+    # every stream carries at least its 4-byte count, which bounds m before allocating
+    body = len(payload) - _COUNT16.size
+    if body < 4 * m or body % 4:
+        raise WireFormatError(f"{len(payload)}-byte drop-list payload cannot hold {m} streams")
+    words = np.frombuffer(payload, dtype=">u4", offset=_COUNT16.size).astype(np.int64)
+    is_index = np.ones(words.size, dtype=bool)
+    pos = 0
     for _ in range(m):
-        if len(payload) < off + _COUNT32.size:
+        if pos >= words.size:
             raise WireFormatError("drop-list payload truncated at a count")
-        (k,) = _COUNT32.unpack_from(payload, off)
-        off += _COUNT32.size
-        if len(payload) < off + 4 * k:
-            raise WireFormatError("drop-list payload truncated inside an index block")
-        idx = np.frombuffer(payload, dtype=">u4", count=k, offset=off).astype(np.int64)
-        off += 4 * k
-        out.append(DropList(idx))
-    if off != len(payload):
-        raise WireFormatError(f"{len(payload) - off} trailing bytes in drop-list payload")
-    return out
+        is_index[pos] = False
+        pos += 1 + int(words[pos])
+    if pos != words.size:
+        raise WireFormatError("drop-list counts disagree with the payload length")
+    cols = words[is_index]
+    # row-major sample numbers increase strictly iff each row's indices do
+    flat = np.repeat(np.arange(m), words[~is_index]) * n + cols
+    if cols.size and (cols.max() >= n or np.any(flat[1:] <= flat[:-1])):
+        raise WireFormatError(f"drop indices must increase strictly and stay below {n}")
+    inside = np.zeros((m, n), dtype=bool)
+    inside.flat[flat] = True
+    return inside
 
 
 def encode_tags(tags, r: int) -> bytes:
@@ -271,9 +287,7 @@ def decode_tags(payload: bytes) -> list[validation.ValidationTag]:
             f"got {len(payload)}"
         )
     return [
-        validation.ValidationTag(
-            r=r, tag=payload[3 + i * nbytes : 3 + (i + 1) * nbytes], stream_index=i
-        )
+        validation.ValidationTag(r=r, tag=payload[3 + i * nbytes : 3 + (i + 1) * nbytes])
         for i in range(count)
     ]
 
@@ -310,6 +324,36 @@ def decode_verdict(payload: bytes):
     raise WireFormatError(f"unknown verdict kind {kind}")
 
 
+def _tags(payload: bytes, count: int) -> list[validation.ValidationTag]:
+    tags = decode_tags(payload)
+    if len(tags) != count:
+        raise ProtocolError(f"TAGS message carries {len(tags)} tags, expected {count}")
+    return tags
+
+
+def _peer_residues(payload: bytes, theta: int) -> tuple[np.ndarray, np.ndarray]:
+    peer_theta, residues, x = recombine.decode_diff_vector(payload)
+    if peer_theta != theta:
+        raise ProtocolError(f"peer reduces distances modulo {peer_theta}, expected {theta}")
+    return residues, x
+
+
+def _stream_key(mask, streams, key_length: int) -> BitStream | None:
+    """This party's key: its first matched stream that fills the key, if any."""
+    for i in np.flatnonzero(mask):
+        if len(streams[i]) == key_length:
+            return BitStream(streams[i].bits, party=streams[i].party, stream=int(i))
+    return None
+
+
+def _allocation(own_distances, peer_residues, streams, params: ProtocolParams):
+    """This party's pick counts from its own distances and the peer's residues."""
+    degrees = recombine.difference_degree(own_distances, peer_residues, params.theta)
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    w = recombine.weights(degrees)
+    return recombine.allocate(w, params.key_length, stream_lengths=lengths), lengths
+
+
 def reconcile_bit_streams(
     streams_a,
     streams_b,
@@ -321,18 +365,11 @@ def reconcile_bit_streams(
 
     Takes both parties' extracted (and already length-capped) streams and
     runs tag validation plus, when needed, recombination rounds over the
-    given link.
+    given link. Each party reads the other only through decoded frames.
     """
-    if len(streams_a) != len(streams_b):
-        raise ProtocolError("parties disagree on the stream count")
     m = len(streams_a)
     if m == 0:
         raise ConfigError("need at least one stream")
-    for i, (sa, sb) in enumerate(zip(streams_a, streams_b)):
-        if len(sa) != len(sb):
-            raise ProtocolError(
-                f"stream {i} lengths differ between parties: {len(sa)} vs {len(sb)}"
-            )
     link = link if link is not None else Link()
     rng = np.random.default_rng(np.random.SeedSequence([params.rng_seed, 0x5EC]))
     L = params.key_length
@@ -350,71 +387,58 @@ def reconcile_bit_streams(
         )
 
     # aggregated per-stream tags, one message, then one mask verdict back
-    tags_a = [validation.make_tag(s, r, stream_index=i) for i, s in enumerate(streams_a)]
-    link.send(A_TO_B, MsgType.TAGS, encode_tags(tags_a, r))
-    mask = np.array(
-        [validation.validate(tags_a[i], streams_b[i], r) for i in range(m)],
-        dtype=bool,
+    payload = encode_tags([validation.make_tag(s, r) for s in streams_a], r)
+    tags_at_b = _tags(link.send(A_TO_B, MsgType.TAGS, payload), len(streams_b))
+    mask_b = np.array(
+        [validation.validate(tag, s, r) for tag, s in zip(tags_at_b, streams_b)], dtype=bool
     )
-    link.send(B_TO_A, MsgType.VERDICT, encode_verdict_mask(mask))
+    mask_a = decode_verdict(link.send(B_TO_A, MsgType.VERDICT, encode_verdict_mask(mask_b)))
+    if not isinstance(mask_a, np.ndarray) or mask_a.size != m:
+        raise ProtocolError(f"expected a stream-mask verdict over {m} streams")
 
-    matched = [i for i in range(m) if mask[i]]
-    eligible = [i for i in matched if len(streams_a[i]) == L]
-    if eligible:
-        pick = eligible[0]
-        key = BitStream(streams_a[pick].bits, party=streams_a[pick].party, stream=pick)
-        peer = BitStream(streams_b[pick].bits, party=streams_b[pick].party, stream=pick)
-        return result(
-            key,
-            peer,
-            f"stream:{pick}",
-            0,
-            {i: len(streams_a[i]) for i in matched},
-        )
+    key = _stream_key(mask_a, streams_a, L)
+    if key is not None:
+        peer = _stream_key(mask_b, streams_b, L)
+        matched = {int(i): len(streams_a[i]) for i in np.flatnonzero(mask_a)}
+        return result(key, peer, f"stream:{key.stream}", 0, matched)
 
     # difference-degree exchange: Alice publishes X and her residues,
-    # Bob answers with his residues; both sides derive the same weights
+    # Bob answers with his residues; each side weights the streams by its
+    # own distances against the peer's residues
     x = rng.integers(0, 2, size=L, dtype=np.uint8)
     d_a = recombine.edit_distances_to_reference(streams_a, x)
-    d_b = recombine.edit_distances_to_reference(streams_b, x)
-    link.send(
-        A_TO_B,
-        MsgType.DIFF_VECTOR,
-        recombine.encode_diff_vector(params.theta, d_a % params.theta, x),
+    payload = recombine.encode_diff_vector(params.theta, d_a % params.theta, x)
+    res_a, x_at_b = _peer_residues(
+        link.send(A_TO_B, MsgType.DIFF_VECTOR, payload), params.theta
     )
-    link.send(
-        B_TO_A,
-        MsgType.DIFF_VECTOR,
-        recombine.encode_diff_vector(
-            params.theta, d_b % params.theta, np.zeros(0, dtype=np.uint8)
-        ),
+    d_b = recombine.edit_distances_to_reference(streams_b, x_at_b)
+    payload = recombine.encode_diff_vector(
+        params.theta, d_b % params.theta, np.zeros(0, dtype=np.uint8)
     )
-    degrees = recombine.difference_degree(d_a, d_b, params.theta)
-    w = recombine.weights(degrees)
-    lengths = np.array([len(s) for s in streams_a], dtype=np.int64)
-    allocation = recombine.allocate(w, L, stream_lengths=lengths)
+    res_b, _ = _peer_residues(link.send(B_TO_A, MsgType.DIFF_VECTOR, payload), params.theta)
+    allocation_a, lengths_a = _allocation(d_a, res_b, streams_a, params)
+    allocation_b, lengths_b = _allocation(d_b, res_a, streams_b, params)
 
     for round_no in range(1, params.max_rounds + 1):
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-        link.send(A_TO_B, MsgType.RECOMB_SEED, _SEED.pack(seed))
-        rec_plan = recombine.plan(seed, allocation, lengths)
-        cand_a = recombine.recombine(streams_a, rec_plan)
-        cand_b = recombine.recombine(streams_b, rec_plan)
-        tag = validation.make_tag(cand_a, r)
-        link.send(A_TO_B, MsgType.TAGS, encode_tags([tag], r))
-        ok = validation.validate(tag, cand_b, r)
-        link.send(
-            B_TO_A,
-            MsgType.VERDICT,
-            bytes([VERDICT_MATCH if ok else VERDICT_MISMATCH]),
-        )
-        if ok:
-            picked = {
-                int(i): int(k)
-                for i, k in enumerate(allocation.picks)
-                if k > 0
-            }
-            return result(cand_a, cand_b, "recombination", round_no, picked)
+        payload = link.send(A_TO_B, MsgType.RECOMB_SEED, _SEED.pack(seed))
+        if len(payload) != _SEED.size:
+            raise WireFormatError(f"seed payload must be 8 bytes, got {len(payload)}")
+        (seed_at_b,) = _SEED.unpack(payload)
+        plan_a = recombine.plan(seed, allocation_a, lengths_a)
+        plan_b = recombine.plan(seed_at_b, allocation_b, lengths_b)
+        cand_a = recombine.recombine(streams_a, plan_a)
+        cand_b = recombine.recombine(streams_b, plan_b)
+        payload = encode_tags([validation.make_tag(cand_a, r)], r)
+        (tag_at_b,) = _tags(link.send(A_TO_B, MsgType.TAGS, payload), 1)
+        ok_b = validation.validate(tag_at_b, cand_b, r)
+        payload = bytes([VERDICT_MATCH if ok_b else VERDICT_MISMATCH])
+        verdict = decode_verdict(link.send(B_TO_A, MsgType.VERDICT, payload))
+        if isinstance(verdict, np.ndarray):
+            raise ProtocolError("expected a scalar round verdict, got a stream mask")
+        if verdict == VERDICT_MATCH:
+            picked = {int(i): int(k) for i, k in enumerate(allocation_a.picks) if k > 0}
+            return result(cand_a, cand_b if ok_b else None, "recombination", round_no, picked)
 
     return result(None, None, None, params.max_rounds, {})
 
@@ -431,15 +455,17 @@ def run_key_agreement(
     quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, params.alpha)
     quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
 
-    link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(quant_a.drop_lists()))
-    link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.drop_lists()))
+    # each party merges its own drop mask with the one it decodes from the peer
+    payload = link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(quant_a.inside))
+    drops_a_at_b = decode_drop_lists(payload, quant_b.inside.shape[1])
+    payload = link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.inside))
+    drops_b_at_a = decode_drop_lists(payload, quant_a.inside.shape[1])
 
-    drops = (quant_a.inside, quant_b.inside)
     streams_a = quantizer.extract_streams(
-        quant_a, *drops, party=traces.alice.party, limit=params.key_length
+        quant_a, quant_a.inside, drops_b_at_a, traces.alice.party, params.key_length
     )
     streams_b = quantizer.extract_streams(
-        quant_b, *drops, party=traces.bob.party, limit=params.key_length
+        quant_b, drops_a_at_b, quant_b.inside, traces.bob.party, params.key_length
     )
     if sum(len(s) for s in streams_a) < params.key_length:
         raise InsufficientBitsError(
@@ -478,10 +504,9 @@ def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
     drops = [m for m in eve_view.transcript if m.msg_type == MsgType.DROP_LIST]
     if len(drops) < 2:
         raise ProtocolError("transcript lacks the two drop-list messages")
-    drops_a = decode_drop_lists(drops[0].payload)
-    drops_b = decode_drop_lists(drops[1].payload)
     trace = eve_view.trace
     quant = quantizer.quantize_matrix(trace.amplitude_db, eve_view.alpha)
+    drops_a, drops_b = (decode_drop_lists(msg.payload, trace.n) for msg in drops[:2])
     keep = quantizer.keep_mask(drops_a, drops_b, quant.inside.shape)
     # a kept sample inside her own band is a coin toss; she calls it by her mean
     guess = quant.ones | (quant.inside & (trace.amplitude_db >= quant.mu[:, None]))

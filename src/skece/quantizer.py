@@ -151,7 +151,13 @@ def merge_kept(drop_a: DropList, drop_b: DropList, n: int) -> np.ndarray:
     """Ascending indices absent from the union of both parties' drop lists."""
     if n < 0:
         raise ConfigError(f"sequence length must be >= 0, got {n}")
-    return np.flatnonzero(keep_mask([drop_a], [drop_b], (1, n))[0])
+    keep = np.ones(n, dtype=bool)
+    for name, lst in (("alice", drop_a), ("bob", drop_b)):
+        # drop indices are strictly increasing, so the last one is the largest
+        if len(lst) and lst.indices[-1] >= n:
+            raise ConfigError(f"{name} drop list has index {lst.indices[-1]} >= {n}")
+        keep[lst.indices] = False
+    return np.flatnonzero(keep)
 
 
 def extract_bits(
@@ -203,10 +209,6 @@ class MatrixQuantization:
     inside: np.ndarray
     ones: np.ndarray
 
-    def drop_lists(self) -> list[DropList]:
-        """The per-stream drop lists this party sends on the wire."""
-        return [DropList(np.flatnonzero(row)) for row in self.inside]
-
 
 def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
     """Quantize every subcarrier row of a trace with its own mu ± alpha·sigma band."""
@@ -232,25 +234,14 @@ def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
 def keep_mask(drops_a, drops_b, shape) -> np.ndarray:
     """(m, n) mask of the samples neither party dropped.
 
-    Each party's drops are either an (m, n) boolean mask, such as
-    :attr:`MatrixQuantization.inside`, or m :class:`DropList` objects
-    decoded from the wire.
+    Each party's drops are an (m, n) boolean mask, such as
+    :attr:`MatrixQuantization.inside` or a decoded drop-list frame.
     """
-    m, n = shape
     keep = np.ones(shape, dtype=bool)
     for name, drops in (("alice", drops_a), ("bob", drops_b)):
-        if isinstance(drops, np.ndarray):
-            if drops.shape != keep.shape:
-                raise DesyncError(f"{name} drop mask is {drops.shape}, expected {shape}")
-            keep &= ~drops.astype(bool, copy=False)
-            continue
-        if len(drops) != m:
-            raise DesyncError(f"{name} sent {len(drops)} drop lists for {m} streams")
-        for i, lst in enumerate(drops):
-            # drop indices are strictly increasing, so the last one is the largest
-            if len(lst) and lst.indices[-1] >= n:
-                raise ConfigError(f"{name} drop list {i} has index {lst.indices[-1]} >= {n}")
-            keep[i, lst.indices] = False
+        if drops.shape != keep.shape:
+            raise DesyncError(f"{name} drop mask is {drops.shape}, expected {keep.shape}")
+        keep &= ~drops.astype(bool, copy=False)
     return keep
 
 
@@ -273,7 +264,7 @@ def extract_streams(
 ) -> list[BitStream]:
     """The party's per-stream bits at the samples neither party dropped.
 
-    ``drops_a`` and ``drops_b`` are as for :func:`keep_mask`; each stream is
+    ``drops_a`` and ``drops_b`` are the parties' (m, n) drop masks; each stream is
     capped at ``limit`` bits. A kept sample strictly inside the party's own
     band means the drop lists diverged, which is a :class:`DesyncError`.
     """

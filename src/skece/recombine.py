@@ -75,15 +75,17 @@ def edit_distances_to_reference(streams, reference) -> np.ndarray:
     global-distance form of H. Hyyrö, Nordic J. Computing 10, 2003) with the
     streams as the pattern and the reference X as the text. Stream k occupies
     bits [off_k, off_k + len_k) of one Python int, followed by a guard bit
-    that is always 0, so all streams advance together: the loop runs len(X)
-    steps of a dozen big-int operations on one sum(len_k + 1)-bit word,
-    whatever the number of streams.
+    that is 0 in Pv, Mv and every Eq, so all streams advance together: the
+    loop runs len(X) steps of a dozen big-int operations on one
+    sum(len_k + 1)-bit word, whatever the number of streams.
 
     Pv/Mv mark where D[i][j] - D[i-1][j] is +1/-1 in the current column j.
     A carry out of a stream in the horizontal step's sum stops at its guard
-    bit, which is 0 in both addends, and the mask clears it again. Every
-    shifted Ph gets a 1 at each stream's first bit: the global boundary
-    D[0][j] = j. After the last column,
+    bit, which is 0 in both addends. Xh and Ph may then hold a 1 at a guard
+    bit, but nothing reads it: shifted, it lands on the next stream's first
+    bit, which every shifted Ph sets to 1 anyway (the global boundary
+    D[0][j] = j), or on a guard bit or past the word, and the mask clears
+    those bits of Pv, so Mv = Ph & Xv keeps them 0 too. After the last column,
     d_k = len(X) + popcount(Pv in stream k) - popcount(Mv in stream k).
     A stream symbol that does not occur in X matches nothing.
     """
@@ -112,12 +114,12 @@ def edit_distances_to_reference(streams, reference) -> np.ndarray:
     for v in ref_codes:
         eq = peq[v]
         xv = eq | mv
-        xh = ((((eq & pv) + pv) & mask) ^ pv) | eq
+        xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask ^ (xh | pv))
         mh = pv & xh
         ph = (ph << 1) | ones
         mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        pv = ((mask ^ (xv | ph)) | mh) & mask
         mv = ph & xv
 
     up = np.concatenate(([0], np.cumsum(_unpack(pv, total), dtype=np.int64)))
@@ -142,13 +144,12 @@ class DiffDegrees:
         object.__setattr__(self, "d_tilde", d)
 
 
-def difference_degree(d_a, d_b, theta: int, circular: bool = False) -> DiffDegrees:
-    """Difference degrees from two parties' raw edit distances.
+def difference_degree(d_a, d_b, theta: int) -> DiffDegrees:
+    """Difference degrees from two parties' edit distances or their residues.
 
-    The published reduction is the plain absolute difference of the two
-    residues, which can overstate dissimilarity across the modulus wrap
-    (e.g. residues 4 and 0 for theta=5 give 4). ``circular`` switches to
-    min(d, theta - d) for callers that prefer wrap-aware distances.
+    This is the published reduction, the plain absolute difference of the
+    two residues, which can overstate dissimilarity across the modulus wrap
+    (e.g. residues 4 and 0 for theta=5 give 4).
     """
     d_a = np.asarray(d_a, dtype=np.int64)
     d_b = np.asarray(d_b, dtype=np.int64)
@@ -156,10 +157,7 @@ def difference_degree(d_a, d_b, theta: int, circular: bool = False) -> DiffDegre
         raise ConfigError("distance vectors must have equal length")
     if theta < 2:
         raise ConfigError(f"theta must be >= 2, got {theta}")
-    d = np.abs(d_a % theta - d_b % theta)
-    if circular:
-        d = np.minimum(d, theta - d)
-    return DiffDegrees(d_tilde=d, theta=theta)
+    return DiffDegrees(d_tilde=np.abs(d_a % theta - d_b % theta), theta=theta)
 
 
 def weights(dd: DiffDegrees) -> np.ndarray:
@@ -288,40 +286,35 @@ def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan
             f"stream {bad} provides {lengths[bad]} bits but "
             f"{allocation.picks[bad]} picks were allocated"
         )
-    streams = []
-    positions = []
-    for i, k in enumerate(allocation.picks):
-        if k == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        pos = rng.permutation(int(lengths[i]))[: int(k)]
-        streams.append(np.full(int(k), i, dtype=np.int64))
-        positions.append(pos)
-    if streams:
-        return RecombinationPlan(
-            seed=seed,
-            streams=np.concatenate(streams),
-            positions=np.concatenate(positions),
-        )
+    picks = allocation.picks.tolist()
+    positions = [
+        np.random.default_rng(np.random.SeedSequence([seed, i])).permutation(lengths[i])[:k]
+        for i, k in enumerate(picks)
+        if k
+    ]
     return RecombinationPlan(
         seed=seed,
-        streams=np.zeros(0, dtype=np.int64),
-        positions=np.zeros(0, dtype=np.int64),
+        streams=np.repeat(np.arange(len(picks)), picks),
+        positions=np.concatenate(positions) if positions else np.zeros(0, dtype=np.int64),
     )
 
 
 def recombine(streams, rec_plan: RecombinationPlan) -> BitStream:
     """Splice the planned picks from this party's streams into one stream."""
     arrays = [s.bits if isinstance(s, BitStream) else np.asarray(s, np.uint8) for s in streams]
-    out = np.empty(len(rec_plan), dtype=np.uint8)
-    for j, (i, p) in enumerate(zip(rec_plan.streams, rec_plan.positions)):
-        if i < 0 or i >= len(arrays):
-            raise DesyncError(f"plan references unknown stream {i}")
-        if p < 0 or p >= arrays[i].size:
-            raise DesyncError(
-                f"plan position {p} exceeds stream {i} of length {arrays[i].size}"
-            )
-        out[j] = arrays[i][p]
+    picked, pos = rec_plan.streams, rec_plan.positions
+    unknown = (picked < 0) | (picked >= len(arrays))
+    if unknown.any():
+        raise DesyncError(f"plan references unknown stream {picked[unknown][0]}")
+    sizes = np.array([a.size for a in arrays], dtype=np.int64)
+    outside = (pos < 0) | (pos >= sizes[picked])
+    if outside.any():
+        j = np.flatnonzero(outside)[0]
+        raise DesyncError(
+            f"plan position {pos[j]} exceeds stream {picked[j]} of length {sizes[picked[j]]}"
+        )
+    starts = np.cumsum(sizes) - sizes
+    out = np.concatenate(arrays)[starts[picked] + pos] if arrays else np.zeros(0, np.uint8)
     parties = {s.party for s in streams if isinstance(s, BitStream)}
     party = parties.pop() if len(parties) == 1 else None
     return BitStream(out, party=party, stream=None)
@@ -386,10 +379,14 @@ def decode_diff_vector(payload: bytes) -> tuple[int, np.ndarray, np.ndarray]:
             f"diff vector needs {_DIFF_HEADER.size} header bytes, got {len(payload)}"
         )
     theta, m = _DIFF_HEADER.unpack_from(payload)
+    if theta < 2:
+        raise WireFormatError(f"diff vector theta must be >= 2, got {theta}")
     off = _DIFF_HEADER.size
     if len(payload) < off + m + _LEN_HEADER.size:
         raise WireFormatError("diff vector truncated inside the residue block")
     d = np.frombuffer(payload, dtype=np.uint8, count=m, offset=off).astype(np.int64)
+    if d.size and d.max() >= theta:
+        raise WireFormatError(f"diff vector residues must lie in [0, {theta})")
     off += m
     (nbits,) = _LEN_HEADER.unpack_from(payload, off)
     off += _LEN_HEADER.size

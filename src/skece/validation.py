@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, WireFormatError
+from .errors import ConfigError, ProtocolError
 from .quantizer import _as_bits
 
 MAX_TAG_BITS = 160  # SHA-1 digest length
@@ -32,7 +32,6 @@ class ValidationTag:
 
     r: int
     tag: bytes
-    stream_index: int = 0
 
     def __post_init__(self):
         if not 1 <= self.r <= MAX_TAG_BITS:
@@ -74,7 +73,7 @@ def sha1_digest(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()
 
 
-def make_tag(bits, r: int, stream_index: int = 0) -> ValidationTag:
+def make_tag(bits, r: int) -> ValidationTag:
     """Tag a bit stream: leading ``r`` bits of SHA-1 over its canonical encoding."""
     digest = sha1_digest(canonical_bit_encoding(bits))
     nbytes = (r + 7) // 8
@@ -82,7 +81,7 @@ def make_tag(bits, r: int, stream_index: int = 0) -> ValidationTag:
     spare = 8 * nbytes - r
     if spare:
         head[-1] &= 0xFF << spare  # zero the unused trailing bits
-    return ValidationTag(r=r, tag=bytes(head), stream_index=stream_index)
+    return ValidationTag(r=r, tag=bytes(head))
 
 
 def validate(tag_remote: ValidationTag, bits_local, r: int) -> bool:
@@ -95,23 +94,4 @@ def validate(tag_remote: ValidationTag, bits_local, r: int) -> bool:
         raise ProtocolError(
             f"checking-length disagreement: remote r={tag_remote.r}, local r={r}"
         )
-    local = make_tag(bits_local, r, stream_index=tag_remote.stream_index)
-    return local.tag == tag_remote.tag
-
-
-def encode_tag(tag: ValidationTag) -> bytes:
-    """Wire form: 1 byte r, then ceil(r/8) tag bytes MSB-first."""
-    return bytes([tag.r]) + tag.tag
-
-
-def decode_tag(buf: bytes, stream_index: int = 0) -> ValidationTag:
-    if len(buf) < 1:
-        raise WireFormatError("empty tag encoding")
-    r = buf[0]
-    nbytes = (r + 7) // 8
-    if len(buf) != 1 + nbytes:
-        raise WireFormatError(
-            f"tag encoding for r={r} must be {1 + nbytes} bytes, got {len(buf)}"
-        )
-    return ValidationTag(r=r, tag=buf[1:], stream_index=stream_index)
-
+    return make_tag(bits_local, r).tag == tag_remote.tag

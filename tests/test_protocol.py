@@ -1,8 +1,12 @@
 import json
+import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skece import protocol
 from skece.channel import ScenarioConfig, simulate
@@ -12,6 +16,7 @@ from skece.errors import (
     DesyncError,
     InsufficientBitsError,
     ProtocolError,
+    SkeceError,
     WireFormatError,
 )
 from skece.protocol import (
@@ -35,7 +40,8 @@ from skece.protocol import (
     scan_transcript_for_key,
     transcript_to_jsonl,
 )
-from skece.quantizer import BitStream, DropList
+from skece.quantizer import BitStream
+from skece.recombine import decode_diff_vector, encode_diff_vector
 from skece.validation import make_tag
 
 
@@ -62,6 +68,31 @@ def dirty_streams(rng, m=12, length=200, flips_per_stream=(1, 3)):
     streams_a = [BitStream(grid[i], party="alice", stream=i) for i in range(m)]
     streams_b = [BitStream(other[i], party="bob", stream=i) for i in range(m)]
     return streams_a, streams_b
+
+
+class RewritingLink(protocol.Link):
+    """A link whose ``rewrite(direction, msg_type, payload)`` alters payloads in flight."""
+
+    def __init__(self, rewrite):
+        super().__init__()
+        self.rewrite = rewrite
+
+    def send(self, direction, msg_type, payload):
+        return super().send(direction, msg_type, self.rewrite(direction, msg_type, payload))
+
+
+def rewrite_first(msg_type, direction, change):
+    """A ``rewrite`` that applies ``change`` to the first payload of one type and direction."""
+    done = False
+
+    def rewrite(d, t, payload):
+        nonlocal done
+        if done or (t, d) != (msg_type, direction):
+            return payload
+        done = True
+        return change(payload)
+
+    return rewrite
 
 
 class TestWireFormat:
@@ -101,22 +132,47 @@ class TestWireFormat:
 class TestPayloadCodecs:
     def test_drop_lists_round_trip(self):
         rng = np.random.default_rng(2)
-        lists = [
-            DropList(np.sort(rng.choice(500, size=rng.integers(0, 40), replace=False)))
-            for _ in range(7)
-        ]
-        decoded = decode_drop_lists(encode_drop_lists(lists))
-        assert [d.indices.tolist() for d in decoded] == [
-            d.indices.tolist() for d in lists
-        ]
+        inside = rng.random((7, 500)) < rng.uniform(0, 0.08, size=(7, 1))
+        inside[3] = False
+        assert np.array_equal(decode_drop_lists(encode_drop_lists(inside), 500), inside)
+
+    def test_drop_lists_match_a_per_row_encoder(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            m, n = int(rng.integers(0, 6)), int(rng.integers(1, 50))
+            inside = rng.random((m, n)) < rng.random()
+            expected = struct.pack(">H", m) + b"".join(
+                struct.pack(">I", row.sum()) + np.flatnonzero(row).astype(">u4").tobytes()
+                for row in inside
+            )
+            assert encode_drop_lists(inside) == expected
 
     def test_drop_lists_truncation(self):
-        payload = encode_drop_lists([DropList([1, 5, 9])])
+        payload = encode_drop_lists([np.isin(np.arange(10), [1, 5, 9])])
         with pytest.raises(WireFormatError):
-            decode_drop_lists(payload[:-2])
+            decode_drop_lists(payload[:-2], 10)
+
+    def test_drop_lists_wire_bytes(self):
+        inside = np.array([[False, True, False, True], [False] * 4])
+        payload = bytes.fromhex("0002" "00000002" "00000001" "00000003" "00000000")
+        assert encode_drop_lists(inside) == payload
+        with pytest.raises(WireFormatError, match="disagree"):
+            decode_drop_lists(payload + bytes(4), 4)
+        with pytest.raises(WireFormatError, match="cannot hold 2 streams"):
+            decode_drop_lists(payload + bytes(1), 4)
+        with pytest.raises(WireFormatError, match="below 3"):
+            decode_drop_lists(payload, 3)
+        swapped = bytes.fromhex("0002" "00000002" "00000003" "00000001" "00000000")
+        with pytest.raises(WireFormatError, match="increase strictly"):
+            decode_drop_lists(swapped, 4)
+
+    def test_hostile_stream_count_fails_before_allocating(self):
+        # 0xFFFF streams of 10**9 samples would need 61 GiB as a mask
+        with pytest.raises(WireFormatError, match="cannot hold 65535 streams"):
+            decode_drop_lists(b"\xff\xff" + bytes(8), 10**9)
 
     def test_tags_round_trip(self):
-        tags = [make_tag([1, 0, 1, i % 2], 6, stream_index=i) for i in range(5)]
+        tags = [make_tag([1, 0, 1, i % 2], 6) for i in range(5)]
         decoded = decode_tags(encode_tags(tags, 6))
         assert [t.tag for t in decoded] == [t.tag for t in tags]
         assert all(t.r == 6 for t in decoded)
@@ -316,8 +372,8 @@ class TestDropListDesync:
     def wire_drops(self, traces, alpha=0.4):
         quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, alpha)
         quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, alpha)
-        drops_a = decode_drop_lists(encode_drop_lists(quant_a.drop_lists()))
-        drops_b = decode_drop_lists(encode_drop_lists(quant_b.drop_lists()))
+        drops_a = decode_drop_lists(encode_drop_lists(quant_a.inside), traces.n)
+        drops_b = decode_drop_lists(encode_drop_lists(quant_b.inside), traces.n)
         return quant_a, quant_b, drops_a, drops_b
 
     def test_intact_lists_extract_what_the_session_keys_on(self):
@@ -332,8 +388,8 @@ class TestDropListDesync:
         traces = simulate(clean_config())
         quant_a, quant_b, drops_a, drops_b = self.wire_drops(traces)
         # a drop only Bob made is lost in transit
-        lost = np.setdiff1d(drops_b[2].indices, drops_a[2].indices)[0]
-        drops_b[2] = DropList(drops_b[2].indices[drops_b[2].indices != lost])
+        lost = np.flatnonzero(drops_b[2] & ~drops_a[2])[0]
+        drops_b[2, lost] = False
         quantizer.extract_streams(quant_a, drops_a, drops_b)  # Alice's drops are intact
         with pytest.raises(DesyncError, match="stream 2"):
             quantizer.extract_streams(quant_b, drops_a, drops_b)
@@ -362,6 +418,171 @@ class TestDropListDesync:
         )
         with pytest.raises(DesyncError):
             eve_attempt(view)
+
+
+class TestReceiverActsOnTheWire:
+    """Each party acts on the frames it decodes, not on its peer's memory."""
+
+    def session(self, monkeypatch, rewrite):
+        monkeypatch.setattr(protocol, "Link", lambda: RewritingLink(rewrite))
+        traces = simulate(clean_config())
+        result, _ = run_key_agreement(traces, ProtocolParams(alpha=0.4, key_length=64, rng_seed=3))
+        return traces, result
+
+    def test_all_mismatch_verdict_sends_alice_to_diff_vectors(self, monkeypatch):
+        _, honest = self.session(monkeypatch, lambda d, t, p: p)
+        assert honest.matched_via.startswith("stream:")
+        no_match = encode_verdict_mask(np.zeros(6, dtype=bool))
+        _, result = self.session(
+            monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: no_match)
+        )
+        types = [m.msg_type for m in result.messages]
+        assert types[3:6] == [MsgType.VERDICT, MsgType.DIFF_VECTOR, MsgType.DIFF_VECTOR]
+        assert result.messages[3].payload == no_match
+
+    def test_lost_bob_drop_changes_only_that_row_of_alices_streams(self, monkeypatch):
+        seen = {}
+        extract = quantizer.extract_streams
+
+        def spy(quantized, drops_a, drops_b, party=None, limit=None):
+            seen[party] = extract(quantized, drops_a, drops_b, party=party, limit=limit)
+            return seen[party]
+
+        monkeypatch.setattr(quantizer, "extract_streams", spy)
+        traces, _ = self.session(monkeypatch, lambda d, t, p: p)
+        honest = dict(seen)
+        inside_a = quantizer.quantize_matrix(traces.alice.amplitude_db, 0.4).inside
+
+        def lose_one_drop(payload):
+            drops_b = decode_drop_lists(payload, traces.n)
+            drops_b[2, np.flatnonzero(drops_b[2] & ~inside_a[2])[0]] = False
+            return encode_drop_lists(drops_b)
+
+        self.session(monkeypatch, rewrite_first(MsgType.DROP_LIST, B_TO_A, lose_one_drop))
+        assert seen["alice"][2] != honest["alice"][2]
+        assert [s for i, s in enumerate(seen["alice"]) if i != 2] == [
+            s for i, s in enumerate(honest["alice"]) if i != 2
+        ]
+        assert seen["bob"] == honest["bob"]
+
+
+class TestSessionRejectsInconsistentFrames:
+    """A decoded frame that contradicts the receiver's state is a ProtocolError."""
+
+    def reconcile(self, rewrite):
+        streams_a, streams_b = dirty_streams(np.random.default_rng(30), m=5, length=60)
+        params = ProtocolParams(key_length=60, max_rounds=3, rng_seed=31, gamma=0.9999)
+        return reconcile_bit_streams(streams_a, streams_b, params, link=RewritingLink(rewrite))
+
+    def test_diff_vector_with_another_theta(self):
+        def theta_7(payload):
+            theta, residues, x = decode_diff_vector(payload)
+            return encode_diff_vector(7, residues, x)
+
+        with pytest.raises(ProtocolError, match="modulo 7"):
+            self.reconcile(rewrite_first(MsgType.DIFF_VECTOR, A_TO_B, theta_7))
+
+    def test_tags_count_other_than_m(self):
+        def drop_last_tag(payload):
+            tags = decode_tags(payload)
+            return encode_tags(tags[:-1], tags[0].r)
+
+        with pytest.raises(ProtocolError, match="4 tags, expected 5"):
+            self.reconcile(rewrite_first(MsgType.TAGS, A_TO_B, drop_last_tag))
+
+    def test_stream_mask_of_wrong_length(self):
+        longer = encode_verdict_mask(np.zeros(6, dtype=bool))
+        with pytest.raises(ProtocolError, match="stream-mask verdict over 5 streams"):
+            self.reconcile(rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: longer))
+
+    def test_verdict_of_the_wrong_kind(self):
+        scalar = bytes([protocol.VERDICT_MATCH])
+        with pytest.raises(ProtocolError, match="stream-mask verdict over 5 streams"):
+            self.reconcile(rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: scalar))
+
+        def mask_for_round(d, t, payload):
+            if t == MsgType.VERDICT and payload[0] != protocol.VERDICT_STREAM_MASK:
+                return encode_verdict_mask([1])
+            return payload
+
+        with pytest.raises(ProtocolError, match="got a stream mask"):
+            self.reconcile(mask_for_round)
+
+
+def _recombining_session():
+    traces = simulate(ScenarioConfig(m=6, probe_count=400, noise_std=2.0, rng_seed=3))
+    params = ProtocolParams(alpha=0.2, key_length=96, rng_seed=3, max_rounds=5, gamma=0.9999)
+    result, _ = run_key_agreement(traces, params)
+    return traces, params, result
+
+
+TRACES, PARAMS, SESSION = _recombining_session()
+FRAMES = [encode(msg) for msg in SESSION.messages]
+DECODERS = {
+    "decode": decode,
+    "decode_drop_lists": lambda payload: decode_drop_lists(payload, TRACES.n),
+    "decode_tags": decode_tags,
+    "decode_verdict": decode_verdict,
+    "decode_diff_vector": decode_diff_vector,
+}
+
+
+@st.composite
+def damaged_frames(draw):
+    """A real frame of the recombining session, truncated or with one bit flipped."""
+    frame = bytearray(draw(st.sampled_from(FRAMES)))
+    if draw(st.booleans()):
+        return bytes(frame[: draw(st.integers(0, len(frame) - 1))])
+    bit = draw(st.integers(0, 8 * len(frame) - 1))
+    frame[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(frame)
+
+
+def returns_or_raises_typed(decoder, data):
+    try:
+        decoder(data)
+    except SkeceError:
+        pass
+
+
+class TestDecoderFuzz:
+    """Every decoder returns or raises a SkeceError, whatever the bytes."""
+
+    def test_session_carries_every_message_type(self):
+        assert {m.msg_type for m in SESSION.messages} == {
+            MsgType.DROP_LIST, MsgType.TAGS, MsgType.VERDICT,
+            MsgType.DIFF_VECTOR, MsgType.RECOMB_SEED,
+        }
+
+    @pytest.mark.parametrize("name", sorted(DECODERS))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.binary(max_size=600))
+    def test_random_bytes(self, name, data):
+        returns_or_raises_typed(DECODERS[name], data)
+
+    @pytest.mark.parametrize("name", sorted(DECODERS))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(frame=damaged_frames())
+    def test_damaged_frames(self, name, frame):
+        # the frame decoder reads the whole frame, payload decoders what follows the header
+        returns_or_raises_typed(DECODERS[name], frame if name == "decode" else frame[5:])
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(index=st.integers(0, len(FRAMES) - 1), bit=st.integers(0, 2**16))
+    def test_session_with_one_bit_flipped_in_flight(self, index, bit):
+        sent = []
+
+        def flip(direction, msg_type, payload):
+            sent.append(payload)
+            if len(sent) - 1 != index or not payload:
+                return payload
+            out = bytearray(payload)
+            k = bit % (8 * len(out))
+            out[k // 8] ^= 0x80 >> (k % 8)
+            return bytes(out)
+
+        with mock.patch.object(protocol, "Link", lambda: RewritingLink(flip)):
+            returns_or_raises_typed(lambda p: run_key_agreement(TRACES, p), PARAMS)
 
 
 class TestTranscriptHygiene:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skece.errors import ConfigError, DesyncError
+from skece.errors import ConfigError, DesyncError, WireFormatError
+from skece.protocol import decode_drop_lists, encode_drop_lists
 from skece.quantizer import (
     BitStream,
     DropList,
@@ -131,13 +132,13 @@ class TestMatrixQuantizer:
             qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
             keep = keep_mask(qa.inside, qb.inside, (m, n))
             streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
-            streams_b = extract_streams(qb, qa.drop_lists(), qb.inside, "bob", n // 3)
+            streams_b = extract_streams(qb, qa.inside, qb.inside, "bob", n // 3)
             for i in range(m):
                 th_a = compute_thresholds(amp_a[i], alpha)
                 th_b = compute_thresholds(amp_b[i], alpha)
                 assert (qa.mu[i], qa.sigma[i]) == (th_a.mu, th_a.sigma)
                 drop_a, drop_b = drop_indices(amp_a[i], th_a), drop_indices(amp_b[i], th_b)
-                assert qa.drop_lists()[i].indices.tolist() == drop_a.indices.tolist()
+                assert np.flatnonzero(qa.inside[i]).tolist() == drop_a.indices.tolist()
                 kept = merge_kept(drop_a, drop_b, n)
                 assert np.flatnonzero(keep[i]).tolist() == kept.tolist()
                 assert streams_a[i] == extract_bits(amp_a[i], th_a, kept, "alice", i)
@@ -162,21 +163,22 @@ class TestMatrixQuantizer:
         qa = quantize_matrix(rng.normal(size=(5, 40)), 0.5)
         qb = quantize_matrix(rng.normal(size=(5, 40)), 0.5)
         from_masks = keep_mask(qa.inside, qb.inside, (5, 40))
-        from_lists = keep_mask(qa.drop_lists(), qb.drop_lists(), (5, 40))
-        assert np.array_equal(from_masks, from_lists)
+        wire_a = decode_drop_lists(encode_drop_lists(qa.inside), 40)
+        wire_b = decode_drop_lists(encode_drop_lists(qb.inside), 40)
+        assert np.array_equal(from_masks, keep_mask(wire_a, wire_b, (5, 40)))
         assert np.array_equal(from_masks, ~(qa.inside | qb.inside))
 
     def test_keep_mask_rejects_wrong_stream_count_and_range(self):
         with pytest.raises(DesyncError):
-            keep_mask([DropList([0])], [DropList([]), DropList([])], (2, 4))
+            keep_mask(np.zeros((1, 4), dtype=bool), np.zeros((2, 4), dtype=bool), (2, 4))
         with pytest.raises(DesyncError):
             keep_mask(np.zeros((3, 4), dtype=bool), np.zeros((2, 4), dtype=bool), (2, 4))
-        with pytest.raises(ConfigError):
-            keep_mask([DropList([4])], [DropList([])], (1, 4))
+        with pytest.raises(WireFormatError):
+            decode_drop_lists(encode_drop_lists([[False] * 4 + [True]]), 4)
 
     def test_kept_in_band_sample_signals_desync(self):
         q = quantize_matrix([[0.0, 10.0, 5.0], [0.0, 10.0, 5.0]], alpha=0.5)
-        drops = [DropList([2]), DropList([])]
+        drops = np.array([[False, False, True], [False, False, False]])
         assert len(extract_streams(q, q.inside, drops)[1]) == 2
         with pytest.raises(DesyncError, match="stream 1: kept index 2"):
             extract_streams(q, drops, drops)

@@ -132,8 +132,8 @@ class TestPackedKernel:
     @pytest.mark.parametrize("x", [np.ones(50), np.zeros(50), np.arange(70) % 3 == 0, []])
     def test_carries_stay_inside_each_stream(self, x):
         # (Eq & Pv) + Pv carries through a whole all-ones stream matched
-        # against ones; the zeros stream right above it must not notice
-        streams = [np.ones(64), np.zeros(64), np.ones(65), np.zeros(63), np.ones(1), []]
+        # against ones; the stream right above it, empty or not, must not notice
+        streams = [np.ones(64), [], np.zeros(64), np.ones(65), [], [], np.zeros(63), np.ones(1), []]
         x = np.asarray(x, dtype=np.uint8)
         batched = edit_distances_to_reference(streams, x)
         assert batched.tolist() == [
@@ -191,9 +191,6 @@ class TestDifferenceDegree:
 
     def test_wraparound_artifact_as_written(self):
         assert difference_degree([4], [5], theta=5).d_tilde.tolist() == [4]
-
-    def test_circular_variant(self):
-        assert difference_degree([4], [5], theta=5, circular=True).d_tilde.tolist() == [1]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigError):
@@ -335,6 +332,23 @@ class TestRecombine:
         p = RecombinationPlan(seed=0, streams=np.array([0]), positions=np.array([9]))
         with pytest.raises(DesyncError):
             recombine([BitStream([1, 0])], p)
+        p = RecombinationPlan(seed=0, streams=np.array([1]), positions=np.array([0]))
+        with pytest.raises(DesyncError, match="unknown stream 1"):
+            recombine([BitStream([1, 0])], p)
+
+    def test_matches_a_per_pick_loop(self):
+        from skece.recombine import RecombinationPlan
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            lengths = rng.integers(0, 20, size=int(rng.integers(1, 6)))
+            lengths[-1] += 1  # at least one stream to pick from
+            streams = [rng.integers(0, 2, n, dtype=np.uint8) for n in lengths]
+            picked = rng.choice(np.flatnonzero(lengths), size=int(rng.integers(1, 30)))
+            pos = rng.integers(0, lengths[picked])
+            p = RecombinationPlan(seed=0, streams=picked, positions=pos)
+            expected = [streams[i][j] for i, j in zip(picked, pos)]
+            assert recombine(streams, p).bits.tolist() == expected
 
 
 class TestSuccessProbability:
@@ -394,3 +408,14 @@ class TestDiffVectorWire:
             decode_diff_vector(payload[:-1])
         with pytest.raises(WireFormatError):
             decode_diff_vector(payload[:2])
+
+    def test_rejects_theta_below_two(self):
+        for theta in (0, 1):
+            with pytest.raises(WireFormatError, match="theta"):
+                decode_diff_vector(bytes([theta, 0, 0]) + bytes(8))
+
+    def test_rejects_residue_at_or_above_theta(self):
+        with pytest.raises(WireFormatError, match="residues"):
+            decode_diff_vector(bytes([5, 0, 2, 9, 200]) + bytes(8))
+        with pytest.raises(WireFormatError, match="residues"):
+            decode_diff_vector(bytes([5, 0, 2, 4, 5]) + bytes(8))

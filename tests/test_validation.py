@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from skece.errors import ConfigError, ProtocolError, WireFormatError
+from skece.protocol import decode_tags, encode_tags
 from skece.quantizer import BitStream
 from skece.validation import (
     ValidationTag,
     canonical_bit_encoding,
     checking_length,
-    decode_tag,
-    encode_tag,
     make_tag,
     sha1_digest,
     validate,
@@ -141,13 +140,15 @@ class TestValidate:
 
 
 class TestTagWire:
+    """A tag travels only inside a TAGS message."""
+
     def test_round_trip(self):
         for r in (1, 5, 6, 8, 13, 160):
-            tag = make_tag([1, 0, 1], r=r, stream_index=3)
-            assert decode_tag(encode_tag(tag), stream_index=3) == tag
+            tag = make_tag([1, 0, 1], r=r)
+            assert decode_tags(encode_tags([tag], r)) == [tag]
 
     def test_wire_errors(self):
         with pytest.raises(WireFormatError):
-            decode_tag(b"")
+            decode_tags(b"")
         with pytest.raises(WireFormatError):
-            decode_tag(bytes([6]) + b"\x00\x00")
+            decode_tags(bytes([6, 0, 1]) + b"\x00\x00")
