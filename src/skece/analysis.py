@@ -8,7 +8,6 @@ passes when its p-value exceeds 0.01.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -179,13 +178,13 @@ def nist_approx_entropy(bits, block_length: int = 2) -> TestReport:
     return TestReport(name="approx_entropy", n=n, statistic=chi2, p_value=p)
 
 
-def run_all_tests(bits, apen_block_length: int = 2) -> list[TestReport]:
-    """The four-test battery in a fixed order."""
+def run_all_tests(bits) -> list[TestReport]:
+    """The four-test battery in a fixed order, approximate entropy at block length 2."""
     return [
         nist_frequency(bits),
         nist_longest_run(bits),
         nist_fft(bits),
-        nist_approx_entropy(bits, apen_block_length),
+        nist_approx_entropy(bits),
     ]
 
 
@@ -226,15 +225,3 @@ def periodicity_score(values, lag: int) -> float:
     r = pearson(x, y)
     return float(r * math.sqrt(x.size))
 
-
-def write_reports_csv(reports, path, header_comment: str | None = None) -> None:
-    """CSV export: test,name,n,statistic,p_value,pass (one row per report)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["test", "name", "n", "statistic", "p_value", "pass"])
-        for i, rep in enumerate(reports):
-            writer.writerow(
-                [i, rep.name, rep.n, repr(rep.statistic), repr(rep.p_value), rep.passed]
-            )

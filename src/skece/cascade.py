@@ -63,15 +63,12 @@ def _block_parities(bits: np.ndarray, block: int) -> np.ndarray:
     return padded.reshape(nblocks, block).sum(axis=1).astype(np.uint8) & 1
 
 
-def cascade_reconcile(
-    a: BitStream, b: BitStream, cfg: CascadeConfig, link: Link | None = None
-) -> ReconciliationOutcome:
+def cascade_reconcile(a: BitStream, b: BitStream, cfg: CascadeConfig) -> ReconciliationOutcome:
     """Reconcile Bob's stream against Alice's; Alice's bits never change."""
     if len(a) != len(b):
         raise ConfigError(f"stream lengths differ: {len(a)} vs {len(b)}")
     n = len(a)
-    link = link if link is not None else Link()
-    session_start = len(link.transcript)
+    link = Link()
     bits_b = b.bits.copy()
     leaked = 0
     converged = False
@@ -117,12 +114,11 @@ def cascade_reconcile(
             bits_b[perm[lo]] ^= 1
 
     corrected = BitStream(bits_b, party=b.party, stream=b.stream)
-    session = link.transcript[session_start:]
     return ReconciliationOutcome(
         corrected=corrected,
-        messages_a_to_b=sum(1 for m in session if m.direction == A_TO_B),
-        messages_b_to_a=sum(1 for m in session if m.direction == B_TO_A),
+        messages_a_to_b=sum(1 for m in link.transcript if m.direction == A_TO_B),
+        messages_b_to_a=sum(1 for m in link.transcript if m.direction == B_TO_A),
         bits_leaked=leaked,
         converged=converged,
-        transcript=session,
+        transcript=link.transcript,
     )

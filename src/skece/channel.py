@@ -330,15 +330,13 @@ def save_trace(trace: CsiTrace, path) -> None:
                 )
 
 
-def load_trace(path, format: str = "csv", party: str = "alice") -> CsiTrace:
+def load_trace(path, party: str = "alice") -> CsiTrace:
     """Parse a CSV trace file, enforcing the trace invariants.
 
     Rows must be grouped by probe time with every subcarrier 0..m-1 present
     exactly once per group, and times strictly increasing between groups.
     Errors name the offending 1-based line number.
     """
-    if format != "csv":
-        raise ConfigError(f"unsupported trace format {format!r}")
     times: list[float] = []
     amp_rows: list[list[float]] = []
     ph_rows: list[list[float]] = []

@@ -13,6 +13,7 @@ import csv
 import json
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,17 @@ DEFAULT_ALPHAS = (0.0, 0.2, 0.4, 0.7, 1.0)
 
 
 def _provenance(args: argparse.Namespace) -> dict:
-    keep = ("command", "scenario", "trials", "seed", "alpha", "gamma", "theta", "key_length")
-    return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
+    """The command and every flag it read, except --out and an --alpha left unset."""
+    flags = {k: getattr(args, k) for k in _COMMANDS[args.command][1]}
+    return {"command": args.command, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _provenance_line(args: argparse.Namespace) -> str:
-    parts = [f"{k}={v}" for k, v in _provenance(args).items() if k != "command"]
+    parts = [
+        f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for k, v in _provenance(args).items()
+        if k != "command"
+    ]
     return f"skece {args.command} " + " ".join(parts)
 
 
@@ -52,20 +58,9 @@ def _out_path(base: str, suffix: str, fmt: str) -> Path:
     return Path(f"{base}{suffix}.{fmt}")
 
 
-def _scenario(args, name: str | None = None) -> experiments.Scenario:
-    scenario = experiments.load_scenario(name or args.scenario)
-    if args.alpha is not None:
-        scenario = experiments.Scenario(
-            name=scenario.name,
-            description=scenario.description,
-            alpha=args.alpha,
-            config=scenario.config,
-        )
-    return scenario
-
-
 def cmd_simulate(args) -> int:
-    scenario = _scenario(args).with_seed(args.seed)
+    """write scenario traces as CSV files"""
+    scenario = experiments.load_scenario(args.scenario).with_seed(args.seed)
     traces = channel.simulate(scenario.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,16 +80,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    scenario = _scenario(args)
-    alphas = args.alphas or DEFAULT_ALPHAS
-    rows = experiments.alpha_sweep(scenario, alphas, trials=args.trials, base_seed=args.seed)
+    """alpha sweep of bit extraction outcomes"""
+    scenario = experiments.load_scenario(args.scenario)
+    rows = experiments.alpha_sweep(scenario, args.alphas, trials=args.trials, base_seed=args.seed)
     path = Path(args.out)
     _write_rows(path, rows, args.format, args)
-    print(f"alpha sweep over {list(alphas)} ({args.trials} trials) -> {path}")
+    print(f"alpha sweep over {list(args.alphas)} ({args.trials} trials) -> {path}")
     return 0
 
 
 def cmd_compare(args) -> int:
+    """message overhead: recombination vs Cascade"""
     rows = experiments.overhead_comparison(
         trials=args.trials,
         base_seed=args.seed,
@@ -124,8 +120,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_randomness(args) -> int:
+    """the four-test battery on generated keys"""
     names = list(experiments.PRESET_NAMES) if args.scenario == "all" else [args.scenario]
-    scenarios = [_scenario(args, n) for n in names]
+    scenarios = [experiments.load_scenario(n) for n in names]
+    if args.alpha is not None:
+        scenarios = [replace(s, alpha=args.alpha) for s in scenarios]
     rows = experiments.randomness_battery(scenarios, runs=args.trials, base_seed=args.seed)
     path = Path(args.out)
     _write_rows(path, rows, args.format, args)
@@ -139,6 +138,7 @@ def cmd_randomness(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    """predictable-channel attack experiment"""
     results = experiments.attack_experiment(seed=args.seed)
     scores = {}
     for mode, res in results.items():
@@ -171,9 +171,57 @@ def cmd_attack(args) -> int:
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
+        grid = tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad alpha grid {text!r}") from None
+    if not grid:
+        raise argparse.ArgumentTypeError("empty alpha grid")
+    return grid
+
+
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
+def _alpha(text: str) -> float:
+    alpha = float(text)
+    if alpha < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {alpha}")
+    return alpha
+
+
+# every flag a command can read, as add_argument keywords
+_FLAGS = {
+    "scenario": dict(default="C", help="preset letter A-F, 'attack', or a JSON config path"),
+    "trials": dict(type=_trial_count, default=100, help="trial or run count"),
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "alpha": dict(type=_alpha, default=None, help="quantizer alpha override"),
+    "alphas": dict(type=_parse_alpha_grid, default=DEFAULT_ALPHAS, help="comma-separated alpha grid"),
+    "gamma": dict(type=float, default=0.98, help="validation confidence target"),
+    "theta": dict(type=int, default=5, help="difference-degree modulus"),
+    "key_length": dict(type=int, default=300, help="key length in bits"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+
+# command: (handler, flags it reads, its --out default and other default overrides)
+_COMMANDS = {
+    "simulate": (cmd_simulate, ("scenario", "seed"), {"out": "traces"}),
+    "extract": (
+        cmd_extract, ("scenario", "trials", "seed", "alphas", "format"), {"out": "extract.csv"}
+    ),
+    "compare": (
+        cmd_compare, ("trials", "seed", "gamma", "theta", "key_length", "format"), {"out": "compare"}
+    ),
+    "randomness": (
+        cmd_randomness,
+        ("scenario", "trials", "seed", "alpha", "format"),
+        {"out": "randomness.csv", "scenario": "all"},
+    ),
+    "attack": (cmd_attack, ("seed",), {"out": "attack"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,55 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSI secret-key extraction experiments at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_out: str):
-        p.add_argument("--scenario", default="C", help="preset letter A-F, 'attack', or a JSON config path")
-        p.add_argument("--trials", type=int, default=100, help="trial or run count")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--alpha", type=float, default=None, help="quantizer alpha override")
-        p.add_argument("--gamma", type=float, default=0.98, help="validation confidence target")
-        p.add_argument("--theta", type=int, default=5, help="difference-degree modulus")
-        p.add_argument("--key-length", dest="key_length", type=int, default=300, help="key length in bits")
-        p.add_argument("--out", default=default_out, help="output path or prefix")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("simulate", help="write scenario traces as CSV files")
-    common(p, "traces")
-
-    p = sub.add_parser("extract", help="alpha sweep of bit extraction outcomes")
-    common(p, "extract.csv")
-    p.add_argument("--alphas", type=_parse_alpha_grid, default=None, help="comma-separated alpha grid")
-
-    p = sub.add_parser("compare", help="message overhead: recombination vs Cascade")
-    common(p, "compare")
-
-    p = sub.add_parser("randomness", help="the four-test battery on generated keys")
-    common(p, "randomness.csv")
-    p.set_defaults(scenario="all")
-
-    p = sub.add_parser("attack", help="predictable-channel attack experiment")
-    common(p, "attack")
+    for name, (run, flags, defaults) in _COMMANDS.items():
+        # no prefix matching: extract would read --alpha as its --alphas
+        p = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+        p.add_argument("--out", help="output path or prefix")
+        p.set_defaults(**defaults)
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "extract": cmd_extract,
-    "compare": cmd_compare,
-    "randomness": cmd_randomness,
-    "attack": cmd_attack,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.alpha is not None and args.alpha < 0:
-        parser.error("--alpha must be >= 0")
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (SkeceError, OSError) as exc:
         record = {
             "error": type(exc).__name__,

@@ -76,10 +76,13 @@ def keep_rate_estimate(alpha: float) -> float:
     return float(erfc(alpha / math.sqrt(2.0)))
 
 
-def probes_for_bits(alpha: float, m: int, target_bits: int, margin: float = 1.35) -> int:
-    """Probe count that yields at least ``target_bits`` kept bits overall."""
+def probes_for_bits(alpha: float, m: int, target_bits: int) -> int:
+    """Probe count that yields at least ``target_bits`` kept bits overall.
+
+    Sized 35% above the normal-model keep rate, since the kept share varies.
+    """
     rate = max(keep_rate_estimate(alpha), 1e-6)
-    return max(2, math.ceil(target_bits * margin / (m * rate)))
+    return max(2, math.ceil(target_bits * 1.35 / (m * rate)))
 
 
 def extract_party_streams(traces: channel.PairedTraceSet, alpha: float):
@@ -143,28 +146,25 @@ def _random_bit_matrix(rng: np.random.Generator, m: int, length: int) -> np.ndar
 def overhead_comparison(
     trials: int,
     base_seed: int = 0,
-    m: int = 30,
     stream_length: int = 300,
-    error_range: tuple[int, int] = (1, 3),
-    max_rounds: int = 50,
-    cascade_block: int = 16,
-    cascade_rounds: int = 4,
     gamma: float = 0.98,
     theta: int = 5,
 ) -> list[dict]:
     """Message counts for both reconciliation styles on matched inputs.
 
-    Per trial both schemes face the same error count e drawn uniformly from
-    ``error_range``: the multi-stream scheme gets e mismatches at uniform
-    positions over its m*length bit grid, the single-stream baseline gets e
-    mismatches over its own length bits.
+    The paper's setup: per trial both schemes face the same error count e
+    drawn uniformly from 1-3. The multi-stream scheme gets e mismatches at
+    uniform positions over its 30 x ``stream_length`` bit grid and up to 50
+    recombination rounds; the single-stream Cascade baseline (16-bit first
+    blocks, 4 rounds) gets e mismatches over its own ``stream_length`` bits.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    m = 30
     rows = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, t]))
-        e = int(rng.integers(error_range[0], error_range[1] + 1))
+        e = int(rng.integers(1, 4))
 
         grid = _random_bit_matrix(rng, m, stream_length)
         flipped = grid.copy()
@@ -176,7 +176,7 @@ def overhead_comparison(
             gamma=gamma,
             theta=theta,
             key_length=stream_length,
-            max_rounds=max_rounds,
+            max_rounds=50,
             rng_seed=int(rng.integers(0, 2**63)),
         )
         outcome = protocol.reconcile_bit_streams(streams_a, streams_b, params)
@@ -187,11 +187,7 @@ def overhead_comparison(
         cas = cascade.cascade_reconcile(
             BitStream(base, party="alice"),
             BitStream(noisy, party="bob"),
-            cascade.CascadeConfig(
-                initial_block_size=cascade_block,
-                rounds=cascade_rounds,
-                rng_seed=int(rng.integers(0, 2**63)),
-            ),
+            cascade.CascadeConfig(rng_seed=int(rng.integers(0, 2**63))),
         )
         rows.append(
             {

@@ -173,8 +173,9 @@ class ProtocolParams:
             raise ConfigError(f"key_length must be >= 1, got {self.key_length}")
         if self.max_rounds < 0:
             raise ConfigError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if self.theta < 2:
-            raise ConfigError(f"theta must be >= 2, got {self.theta}")
+        if not 2 <= self.theta <= 0xFF:
+            # a DIFF_VECTOR frame carries theta in one byte
+            raise ConfigError(f"theta must lie in [2, 255], got {self.theta}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not 0 < self.gamma < 1:
@@ -286,6 +287,11 @@ def decode_tags(payload: bytes) -> list[validation.ValidationTag]:
             f"tags payload for r={r}, count={count} must be {expected} bytes, "
             f"got {len(payload)}"
         )
+    spare = 8 * nbytes - r
+    if spare:
+        last_bytes = np.frombuffer(payload, dtype=np.uint8, offset=3)[nbytes - 1 :: nbytes]
+        if np.any(last_bytes & ((1 << spare) - 1)):
+            raise WireFormatError(f"tags for r={r} must leave their last {spare} bits zero")
     return [
         validation.ValidationTag(r=r, tag=payload[3 + i * nbytes : 3 + (i + 1) * nbytes])
         for i in range(count)
@@ -319,8 +325,10 @@ def decode_verdict(payload: bytes):
             raise WireFormatError("stream-mask verdict has the wrong mask size")
         bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, offset=1 + _COUNT16.size)
-        )[:m]
-        return bits.astype(bool)
+        )
+        if bits[m:].any():
+            raise WireFormatError("stream-mask verdict has nonzero padding bits")
+        return bits[:m].astype(bool)
     raise WireFormatError(f"unknown verdict kind {kind}")
 
 
@@ -518,7 +526,7 @@ def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
 
         correlations = np.full(len(guesses), np.nan)
         for i, (g, ref) in enumerate(zip(guesses, reference_streams)):
-            ref_bits = ref.bits if isinstance(ref, BitStream) else np.asarray(ref)
+            ref_bits = quantizer._as_bits(ref)
             k = min(len(g), ref_bits.size)
             if k >= 2:
                 ga = g.bits[:k].astype(float)
@@ -552,8 +560,7 @@ def scan_transcript_for_key(transcript, key_bits, window: int = 32) -> int:
     about (payload windows) * (key windows) / 2**window, i.e. effectively
     zero; anything consistently above that betrays key leakage.
     """
-    key = key_bits.bits if isinstance(key_bits, BitStream) else np.asarray(key_bits)
-    key = key.astype(np.uint8)
+    key = quantizer._as_bits(key_bits)
     if key.size < window:
         return 0
     powers = (1 << np.arange(window - 1, -1, -1)).astype(np.uint64)

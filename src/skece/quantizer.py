@@ -63,11 +63,7 @@ class BitStream:
     stream: int | None = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ConfigError("bits must be one-dimensional")
-        if bits.size and bits.max() > 1:
-            raise ConfigError("bits must contain only 0 and 1")
+        bits = _as_bits(self.bits)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         if self.party is not None and self.party not in PARTIES:

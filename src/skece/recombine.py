@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DesyncError, InsufficientBitsError, WireFormatError
-from .quantizer import BitStream
+from .quantizer import BitStream, _as_bits
 from .validation import canonical_bit_encoding
 
 _DIFF_HEADER = struct.Struct(">BH")
@@ -301,7 +301,7 @@ def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan
 
 def recombine(streams, rec_plan: RecombinationPlan) -> BitStream:
     """Splice the planned picks from this party's streams into one stream."""
-    arrays = [s.bits if isinstance(s, BitStream) else np.asarray(s, np.uint8) for s in streams]
+    arrays = [_as_bits(s) for s in streams]
     picked, pos = rec_plan.streams, rec_plan.positions
     unknown = (picked < 0) | (picked >= len(arrays))
     if unknown.any():
@@ -395,6 +395,7 @@ def decode_diff_vector(payload: bytes) -> tuple[int, np.ndarray, np.ndarray]:
         raise WireFormatError(
             f"diff vector X block expects {nbytes} bytes, got {len(payload) - off}"
         )
-    packed = np.frombuffer(payload, dtype=np.uint8, offset=off)
-    x = np.unpackbits(packed)[:nbits] if nbits else np.zeros(0, dtype=np.uint8)
-    return theta, d, x
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=off))
+    if bits[nbits:].any():
+        raise WireFormatError("diff vector X block has nonzero padding bits")
+    return theta, d, bits[:nbits]

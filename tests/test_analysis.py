@@ -1,4 +1,3 @@
-import csv
 import math
 from collections import Counter
 
@@ -17,7 +16,6 @@ from skece.analysis import (
     periodicity_score,
     run_all_tests,
     secret_bit_rate,
-    write_reports_csv,
 )
 from skece.errors import ConfigError
 
@@ -240,16 +238,6 @@ class TestPeriodicity:
 
 
 class TestReportExport:
-    def test_csv_round_trip(self, tmp_path):
-        reports = run_all_tests(prng_bits(10_000, seed=13))
-        path = tmp_path / "reports.csv"
-        write_reports_csv(reports, path, header_comment="battery seed=13")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# battery")
-        rows = list(csv.DictReader(lines[1:]))
-        assert [r["name"] for r in rows] == [r.name for r in reports]
-        assert all(r["pass"] == "True" for r in rows)
-
     def test_report_invariants(self):
         with pytest.raises(ConfigError):
             TestReport(name="x", n=10, statistic=0.0, p_value=1.5)

@@ -216,7 +216,3 @@ class TestTraceFiles:
         path.write_text("a,b,c,d\n0,0,0,0\n")
         with pytest.raises(TraceFormatError, match="line 1"):
             load_trace(path)
-
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_trace(tmp_path / "t.bin", format="binary")

@@ -127,3 +127,56 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit) as exc:
             run_cli(["extract", "--trials", "0", "--out", tmp_path / "x.csv"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["randomness", "--alpha", "-0.1"], ["extract", "--alphas", ","]]
+    )
+    def test_out_of_range_values_rejected(self, args, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+
+
+# the flags each command reads, with a small value for each
+READS = {
+    "simulate": {"scenario": "A", "seed": "2"},
+    "extract": {"scenario": "C", "trials": "1", "seed": "2", "alphas": "0.4", "format": "json"},
+    "compare": {
+        "trials": "2", "seed": "2", "gamma": "0.9", "theta": "7", "key-length": "64",
+        "format": "json",
+    },
+    "randomness": {"scenario": "C", "trials": "1", "seed": "2", "alpha": "0.5", "format": "json"},
+    "attack": {"seed": "2"},
+}
+ALL_FLAGS = {flag: value for reads in READS.values() for flag, value in reads.items()}
+# where each command writes the JSON record that holds its provenance
+PROVENANCE_FILE = {
+    "simulate": "out/summary.json",
+    "extract": "out",
+    "compare": "out_trials.json",
+    "randomness": "out",
+    "attack": "out_scores.json",
+}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in READS for f in ALL_FLAGS if f not in READS[c]],
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, f"--{flag}", ALL_FLAGS[flag], "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_provenance_holds_exactly_the_flags_read(self, command, tmp_path):
+        args = [command]
+        for flag, value in READS[command].items():
+            args += [f"--{flag}", value]
+        assert run_cli([*args, "--out", tmp_path / "out"]) == 0
+        record = json.loads((tmp_path / PROVENANCE_FILE[command]).read_text())["experiment"]
+        assert set(record) == {"command", *(f.replace("-", "_") for f in READS[command])}
+        assert record["command"] == command
+        assert record["seed"] == 2

@@ -198,6 +198,26 @@ class TestPayloadCodecs:
         with pytest.raises(WireFormatError):
             decode_verdict(bytes([9]))
 
+    def test_padding_bits_must_be_zero(self):
+        assert decode_verdict(bytes([2, 0, 1, 0x80])).tolist() == [True]
+        with pytest.raises(WireFormatError, match="padding"):
+            decode_verdict(bytes([2, 0, 1, 0xFF]))
+        assert decode_tags(bytes([6, 0, 1, 0xFC]))[0].tag == bytes([0xFC])
+        with pytest.raises(WireFormatError, match="last 2 bits zero"):
+            decode_tags(bytes([6, 0, 1, 0xFD]))
+        x_block = bytes(7) + bytes([3, 0b1010_0000])
+        assert decode_diff_vector(bytes([5, 0, 0]) + x_block)[2].tolist() == [1, 0, 1]
+        with pytest.raises(WireFormatError, match="padding"):
+            decode_diff_vector(bytes([5, 0, 0]) + x_block[:-1] + bytes([0b1010_0001]))
+
+
+class TestProtocolParams:
+    def test_theta_must_fit_the_diff_vector_byte(self):
+        assert ProtocolParams(theta=255).theta == 255
+        for theta in (1, 256, 300):
+            with pytest.raises(ConfigError, match="theta"):
+                ProtocolParams(theta=theta)
+
 
 class TestDirectMatch:
     def test_noiseless_traces_match_on_first_stream(self):
@@ -538,6 +558,32 @@ def damaged_frames(draw):
     return bytes(frame)
 
 
+@st.composite
+def well_sized_payloads(draw, name):
+    """A payload of the right size for ``name`` whose padding bits are arbitrary."""
+    if name == "decode_verdict":
+        m = draw(st.integers(0, 40))
+        body = draw(st.binary(min_size=(m + 7) // 8, max_size=(m + 7) // 8))
+        return bytes([protocol.VERDICT_STREAM_MASK]) + struct.pack(">H", m) + body
+    if name == "decode_tags":
+        r, count = draw(st.integers(1, 160)), draw(st.integers(0, 6))
+        size = count * ((r + 7) // 8)
+        return struct.pack(">BH", r, count) + draw(st.binary(min_size=size, max_size=size))
+    theta, m, nbits = draw(st.integers(2, 255)), draw(st.integers(0, 8)), draw(st.integers(0, 40))
+    residues = draw(st.lists(st.integers(0, theta - 1), min_size=m, max_size=m))
+    x = draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
+    return struct.pack(">BH", theta, m) + bytes(residues) + struct.pack(">Q", nbits) + x
+
+
+REENCODERS = {
+    "decode_tags": lambda tags, payload: encode_tags(tags, payload[0]),
+    "decode_verdict": lambda verdict, payload: (
+        encode_verdict_mask(verdict) if isinstance(verdict, np.ndarray) else bytes([verdict])
+    ),
+    "decode_diff_vector": lambda decoded, payload: encode_diff_vector(*decoded),
+}
+
+
 def returns_or_raises_typed(decoder, data):
     try:
         decoder(data)
@@ -566,6 +612,23 @@ class TestDecoderFuzz:
     def test_damaged_frames(self, name, frame):
         # the frame decoder reads the whole frame, payload decoders what follows the header
         returns_or_raises_typed(DECODERS[name], frame if name == "decode" else frame[5:])
+
+    @pytest.mark.parametrize("name", sorted(REENCODERS))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_accepted_payloads_re_encode_to_themselves(self, name, data):
+        payload = data.draw(
+            st.one_of(
+                st.binary(max_size=600),
+                damaged_frames().map(lambda frame: frame[5:]),
+                well_sized_payloads(name),
+            )
+        )
+        try:
+            decoded = DECODERS[name](payload)
+        except SkeceError:
+            return
+        assert REENCODERS[name](decoded, payload) == payload
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(index=st.integers(0, len(FRAMES) - 1), bit=st.integers(0, 2**16))
