@@ -96,13 +96,12 @@ def nist_frequency(bits) -> TestReport:
     return TestReport(name="frequency", n=n, statistic=s, p_value=p)
 
 
-def _longest_run_of_ones(block: np.ndarray) -> int:
-    longest = cur = 0
-    for b in block:
-        cur = cur + 1 if b else 0
-        if cur > longest:
-            longest = cur
-    return longest
+def _longest_runs_of_ones(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each row of a 0/1 matrix."""
+    ones = np.cumsum(blocks, axis=1, dtype=np.int64)
+    # ones counted up to the last zero at or before each position
+    at_last_zero = np.maximum.accumulate(np.where(blocks == 0, ones, 0), axis=1)
+    return (ones - at_last_zero).max(axis=1)
 
 
 def nist_longest_run(bits) -> TestReport:
@@ -115,10 +114,8 @@ def nist_longest_run(bits) -> TestReport:
         if n >= min_n:
             break
     nblocks = n // block_len
-    counts = np.zeros(k + 1, dtype=np.int64)
-    for j in range(nblocks):
-        run = _longest_run_of_ones(bits[j * block_len : (j + 1) * block_len])
-        counts[min(max(run - first, 0), k)] += 1
+    runs = _longest_runs_of_ones(bits[: nblocks * block_len].reshape(nblocks, block_len))
+    counts = np.bincount(np.clip(runs - first, 0, k), minlength=k + 1)
     expected = nblocks * np.asarray(probs)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     p = float(gammaincc(k / 2.0, chi2 / 2.0))

@@ -20,6 +20,7 @@ emulation, large for per-subcarrier CSI).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,10 @@ import numpy as np
 from .errors import ConfigError, TraceFormatError
 
 TRACE_HEADER = ["time", "subcarrier", "amplitude_db", "phase_rad"]
+_HEADER_LINE = ",".join(TRACE_HEADER)
+_ROW_DTYPE = np.dtype(
+    [("time", "f8"), ("subcarrier", "i8"), ("amplitude_db", "f8"), ("phase_rad", "f8")]
+)
 
 MOBILITY_PROCESS_STD = {"static": 2.0, "mobile": 5.0}
 # kept small relative to the per-subcarrier variation so the shared drift
@@ -65,7 +70,7 @@ class CsiTrace:
             )
         if amp.shape[0] < 1:
             raise ConfigError("need at least one subcarrier")
-        if times.size >= 2 and np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):
             raise ConfigError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(amp)):
             raise ConfigError("amplitudes contain non-finite values")
@@ -312,22 +317,23 @@ def save_trace(trace: CsiTrace, path) -> None:
 
     Header ``time,subcarrier,amplitude_db,phase_rad``; one row per
     (time, subcarrier) cell, sorted by time then subcarrier; floats use
-    repr so a round-trip reproduces the trace exactly.
+    repr so a round-trip reproduces the trace exactly; every row, the
+    header too, ends in ``\\r\\n``.
     """
+    subcarriers = range(trace.m)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for k in range(trace.n):
-            t = repr(float(trace.times[k]))
-            for i in range(trace.m):
-                writer.writerow(
-                    [
-                        t,
-                        i,
-                        repr(float(trace.amplitude_db[i, k])),
-                        repr(float(trace.phase_rad[i, k])),
-                    ]
+        fh.write(_HEADER_LINE + "\r\n")
+        for t, amps, phases in zip(
+            trace.times.tolist(), trace.amplitude_db.T.tolist(), trace.phase_rad.T.tolist()
+        ):
+            t = repr(t)
+            # one write per probe: the whole file as one string would add
+            # MiBs to the peak memory of a caller writing long traces
+            fh.write(
+                "".join(
+                    [f"{t},{i},{a!r},{p!r}\r\n" for i, a, p in zip(subcarriers, amps, phases)]
                 )
+            )
 
 
 def load_trace(path, party: str = "alice") -> CsiTrace:
@@ -336,13 +342,79 @@ def load_trace(path, party: str = "alice") -> CsiTrace:
     Rows must be grouped by probe time with every subcarrier 0..m-1 present
     exactly once per group, and times strictly increasing between groups.
     Errors name the offending 1-based line number.
+
+    A plain ASCII file with its rows in ``save_trace`` order is parsed by
+    one ``np.loadtxt`` call and checked on whole arrays. Every other file,
+    and every file those checks refuse, goes to the row-by-row parser, which
+    names the offending line or accepts what ``loadtxt`` cannot read (quoted
+    fields, digit underscores, subcarriers out of order), so both paths
+    accept the same files and return the same traces.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        body = fh.read()
+    trace = _load_plain(header, body, party)
+    return trace if trace is not None else _load_rows(header + body, party)
+
+
+def _load_plain(header: bytes, body: bytes, party: str) -> CsiTrace | None:
+    """The numpy path of ``load_trace``: None where the row parser must decide."""
+    if header.rstrip(b"\r\n") != _HEADER_LINE.encode("ascii") or not body.isascii():
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    breaks = np.flatnonzero(raw < 0x20)
+    if (
+        breaks.size == raw.size  # no data row, on which loadtxt warns
+        # numpy strips \x1c-\x1f around a number where float() refuses them
+        or not np.all((raw[breaks] == 0x0A) | (raw[breaks] == 0x0D))
+        # the csv module raises on a field longer than its size limit
+        or np.diff(breaks, prepend=-1, append=raw.size).max() > csv.field_size_limit()
+    ):
+        return None
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(body), delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE
+        )
+    except ValueError:
+        return None
+
+    t = rows["time"]
+    # the first probe's rows are those before the first change of time
+    m = int(np.argmax(t != t[0])) or t.size
+    if t.size % m:
+        return None
+    grid = t.reshape(-1, m)
+    times = grid[:, 0]
+    amp = rows["amplitude_db"].reshape(-1, m)
+    if not (
+        np.all(np.isfinite(t))
+        and np.all(np.isfinite(amp))
+        and np.all(grid == times[:, None])
+        and np.all(rows["subcarrier"].reshape(-1, m) == np.arange(m))
+        and np.all(times[1:] > times[:-1])
+    ):
+        return None
+    # the row parser's layout: a C-ordered (n, m) matrix, transposed
+    return CsiTrace(
+        party=party,
+        times=times.copy(),
+        amplitude_db=np.ascontiguousarray(amp).T,
+        phase_rad=np.ascontiguousarray(rows["phase_rad"].reshape(-1, m)).T,
+    )
+
+
+def _load_rows(data: bytes, party: str) -> CsiTrace:
+    """The row-by-row parser of ``load_trace``, which names the line at fault.
+
+    ``data`` is decoded as ``open(path, newline="", encoding="utf-8")``
+    would decode the file it came from.
     """
     times: list[float] = []
     amp_rows: list[list[float]] = []
     ph_rows: list[list[float]] = []
     m = None
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -160,6 +160,8 @@ def overhead_comparison(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if stream_length < 1:
+        raise ConfigError(f"stream_length must be >= 1, got {stream_length}")
     m = 30
     rows = []
     for t in range(trials):

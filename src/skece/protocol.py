@@ -280,6 +280,8 @@ def decode_tags(payload: bytes) -> list[validation.ValidationTag]:
     if len(payload) < 3:
         raise WireFormatError("tags payload lacks its header")
     r, count = struct.unpack_from(">BH", payload)
+    if not 1 <= r <= validation.MAX_TAG_BITS:
+        raise WireFormatError(f"tags payload has r={r}, outside [1, {validation.MAX_TAG_BITS}]")
     nbytes = (r + 7) // 8
     expected = 3 + count * nbytes
     if len(payload) != expected:

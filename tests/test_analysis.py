@@ -3,9 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
+from skece import experiments
 from skece.analysis import (
+    _LONGEST_RUN_TABLE,
     TestReport,
+    _longest_runs_of_ones,
     _spectral_p_value,
     mismatch_ratio,
     nist_approx_entropy,
@@ -109,7 +113,54 @@ class TestFrequency:
             nist_frequency(np.ones(99, dtype=np.uint8))
 
 
+def loop_longest_run_of_ones(block) -> int:
+    """The bit loop the vectorised longest-run count replaced, kept as its reference."""
+    longest = cur = 0
+    for b in block:
+        cur = cur + 1 if b else 0
+        if cur > longest:
+            longest = cur
+    return longest
+
+
+def loop_longest_run_report(bits) -> tuple[float, float]:
+    """(chi2, p) of the longest-run test, block by block through the loop."""
+    n = bits.size
+    for min_n, block_len, k, probs, first in _LONGEST_RUN_TABLE:
+        if n >= min_n:
+            break
+    nblocks = n // block_len
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for j in range(nblocks):
+        run = loop_longest_run_of_ones(bits[j * block_len : (j + 1) * block_len])
+        counts[min(max(run - first, 0), k)] += 1
+    expected = nblocks * np.asarray(probs)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return chi2, float(gammaincc(k / 2.0, chi2 / 2.0))
+
+
 class TestLongestRun:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            np.random.default_rng(3).integers(0, 2, size=(200, 8), dtype=np.uint8),
+            np.random.default_rng(4).integers(0, 2, size=(50, 128), dtype=np.uint8),
+            (np.random.default_rng(5).random((40, 64)) < 0.9).astype(np.uint8),
+            np.ones((3, 16), dtype=np.uint8),
+            np.zeros((3, 16), dtype=np.uint8),
+            np.array([[1], [0]], dtype=np.uint8),
+        ],
+    )
+    def test_vectorised_runs_match_the_loop(self, blocks):
+        expected = [loop_longest_run_of_ones(row) for row in blocks]
+        assert _longest_runs_of_ones(blocks).tolist() == expected
+
+    @pytest.mark.parametrize("preset", list("ABCDEF"))
+    def test_p_values_match_the_loop_on_key_material(self, preset):
+        bits = experiments.key_material(experiments.load_scenario(preset), seed=11).bits
+        rep = nist_longest_run(bits)
+        assert (rep.statistic, rep.p_value) == loop_longest_run_report(bits)
+
     def test_all_zeros_fails(self):
         rep = nist_longest_run(np.zeros(128, dtype=np.uint8))
         assert rep.p_value < 1e-6

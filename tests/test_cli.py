@@ -112,6 +112,14 @@ class TestFailures:
         assert record["command"] == "extract"
         assert "NOPE" in record["message"]
 
+    def test_zero_key_length_produces_error_record(self, tmp_path, capsys):
+        code = run_cli(["compare", "--key-length", "0", "--trials", "1", "--out", tmp_path / "x"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "compare"
+        assert "stream_length" in record["message"]
+
     def test_unwritable_output_produces_error_record(self, tmp_path, capsys):
         target = tmp_path / "dir"
         target.mkdir()

@@ -6,7 +6,9 @@ eavesdropper's guesses for those sessions, key material for one preset,
 the attack experiment's bit waves and one alpha sweep. A change to the
 thresholds, the drop lists, the kept indices, the bit order or the length
 cap changes a digest. The digests were taken from the per-stream quantizer
-that preceded the matrix quantizer.
+that preceded the matrix quantizer. One more digest pins the bytes of the
+three trace files ``save_trace`` writes for one session; it was taken from
+the ``csv.writer`` writer that preceded the chunked one.
 """
 
 import hashlib
@@ -118,4 +120,16 @@ def test_alpha_sweep_rows():
     )
     assert _sha([repr(rows).encode("ascii")]) == (
         "e4217b287da026da9e7bc183b3b1e9670f3ee12659a70a0aac5526ccaad844a7"
+    )
+
+
+def test_trace_file_bytes(tmp_path):
+    traces = channel.simulate(experiments.load_scenario("C").with_seed(0).config)
+    chunks = []
+    for party in ("alice", "bob", "eve"):
+        path = tmp_path / f"{party}.csv"
+        channel.save_trace(getattr(traces, party), path)
+        chunks.append(path.read_bytes())
+    assert _sha(chunks) == (
+        "7429ceabb968598e3c16c466d51b4b23b524cf90c64930f721dae4f85266c5b5"
     )

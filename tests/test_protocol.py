@@ -177,6 +177,11 @@ class TestPayloadCodecs:
         assert [t.tag for t in decoded] == [t.tag for t in tags]
         assert all(t.r == 6 for t in decoded)
 
+    @pytest.mark.parametrize("frame", [bytes([0, 0, 1]), bytes([200, 0, 1]) + bytes(25)])
+    def test_tags_r_outside_the_digest_is_a_wire_error(self, frame):
+        with pytest.raises(WireFormatError, match="outside"):
+            decode_tags(frame)
+
     def test_tags_length_mismatch(self):
         payload = encode_tags([make_tag([1], 6)], 6)
         with pytest.raises(WireFormatError):
