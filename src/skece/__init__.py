@@ -66,7 +66,6 @@ from .protocol import (
 )
 from .analysis import (
     TestReport,
-    mismatch_ratio,
     nist_approx_entropy,
     nist_fft,
     nist_frequency,
@@ -89,6 +88,6 @@ __all__ = [
     "CascadeConfig", "ReconciliationOutcome", "cascade_reconcile",
     "EveView", "KeyAgreementResult", "MsgType", "ProtocolMessage", "ProtocolParams",
     "decode", "encode", "eve_attempt", "run_key_agreement",
-    "TestReport", "mismatch_ratio", "nist_approx_entropy", "nist_fft", "nist_frequency",
-    "nist_longest_run", "pearson", "secret_bit_rate",
+    "TestReport", "nist_approx_entropy", "nist_fft", "nist_frequency", "nist_longest_run",
+    "pearson", "secret_bit_rate",
 ]

@@ -58,17 +58,6 @@ class RateReport:
     mean_stream_rate: float
 
 
-def mismatch_ratio(a, b) -> float:
-    """Hamming distance over length for two equal-length bit streams."""
-    a = _as_bits(a)
-    b = _as_bits(b)
-    if a.size != b.size:
-        raise ConfigError(f"stream lengths differ: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ConfigError("streams must be non-empty")
-    return float(np.count_nonzero(a != b) / a.size)
-
-
 def pearson(x, y) -> float:
     """Sample Pearson correlation coefficient; bits coerce to 0/1 reals."""
     x = np.asarray(x, dtype=np.float64)

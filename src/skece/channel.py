@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,10 @@ class CsiTrace:
     All subcarriers share the strictly increasing timestamp vector; the
     quantizer consumes amplitudes only and the phase rows are carried so
     trace files mirror real CSI records.
+
+    A trace from ``simulate`` may leave arrays no session reads to be drawn
+    on first read (see ``_LateDraws``); they are checked then as the others
+    are checked here.
     """
 
     party: str
@@ -58,27 +63,47 @@ class CsiTrace:
         if self.party not in ("alice", "bob", "eve"):
             raise ConfigError(f"unknown party {self.party!r}")
         times = np.asarray(self.times, dtype=np.float64)
-        amp = np.asarray(self.amplitude_db, dtype=np.float64)
-        ph = np.asarray(self.phase_rad, dtype=np.float64)
+        # simulate passes its _LateDraws in place of each array it has not
+        # drawn; such an array is checked here by shape, in full once drawn
+        arrays = {}
+        for name in _LATE_FIELDS:
+            value = self.__dict__.pop(name)
+            if isinstance(value, _LateDraws):
+                object.__setattr__(self, "_late", value)
+            else:
+                arrays[name] = np.asarray(value, dtype=np.float64)
+        amp_shape, ph_shape = (
+            arrays[name].shape if name in arrays else self._late.shape for name in _LATE_FIELDS
+        )
         if times.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        if amp.ndim != 2 or ph.shape != amp.shape:
+        if len(amp_shape) != 2 or ph_shape != amp_shape:
             raise ConfigError("amplitude and phase must be equal (m, n) matrices")
-        if amp.shape[1] != times.size:
+        if amp_shape[1] != times.size:
             raise ConfigError(
-                f"{amp.shape[1]} samples per subcarrier but {times.size} timestamps"
+                f"{amp_shape[1]} samples per subcarrier but {times.size} timestamps"
             )
-        if amp.shape[0] < 1:
+        if amp_shape[0] < 1:
             raise ConfigError("need at least one subcarrier")
         if np.any(times[1:] <= times[:-1]):
             raise ConfigError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(amp)):
+        if "amplitude_db" in arrays and not np.all(np.isfinite(arrays["amplitude_db"])):
             raise ConfigError("amplitudes contain non-finite values")
-        for arr in (times, amp, ph):
-            arr.setflags(write=False)
+        times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "amplitude_db", amp)
-        object.__setattr__(self, "phase_rad", ph)
+        # an array left out of the instance sends its first read to __getattr__
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a deferred array
+        late = self.__dict__.get("_late")
+        if late is None or name not in _LATE_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = late.read(self.party, name)
+        object.__setattr__(self, name, arr)
+        return arr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsiTrace):
@@ -87,7 +112,7 @@ class CsiTrace:
             self.party == other.party
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.amplitude_db, other.amplitude_db)
-            and np.array_equal(self.phase_rad, other.phase_rad)
+            and np.array_equal(self.phase_rad, other.phase_rad, equal_nan=True)
         )
 
     def __hash__(self):
@@ -95,16 +120,76 @@ class CsiTrace:
 
     @property
     def m(self) -> int:
-        return int(self.amplitude_db.shape[0])
+        # read without drawing amplitudes simulate has left for later
+        amp = self.__dict__.get("amplitude_db")
+        return int((self._late.shape if amp is None else amp.shape)[0])
 
     @property
     def n(self) -> int:
-        return int(self.amplitude_db.shape[1])
+        return int(self.times.size)
 
     @property
     def duration(self) -> float:
         """Probing span in seconds (zero for a single probe)."""
         return float(self.times[-1] - self.times[0]) if self.n else 0.0
+
+
+_LATE_FIELDS = ("amplitude_db", "phase_rad")
+
+
+class _LateDraws:
+    """The draws of one ``simulate`` call that no session reads, made on first read.
+
+    Eve's noise and the two phase walks come last in the generator stream,
+    so ``simulate`` stops before them and keeps the generator state and
+    Eve's latent matrix. The first read of any of these arrays draws all of
+    them, in the order ``simulate`` would have, from a generator restored to
+    that state: their values are a function of the snapshot alone, whatever
+    the order, thread or pickled copy that reads them.
+    """
+
+    def __init__(
+        self, rng_state: dict, latent_eve: np.ndarray, noise_std: float, shift: int, steps: int
+    ):
+        self.shape = latent_eve.shape
+        self._inputs = (rng_state, latent_eve, noise_std, shift, steps)
+        self._arrays = None
+        self._lock = threading.Lock()
+
+    def read(self, party: str, name: str) -> np.ndarray:
+        with self._lock:
+            if self._arrays is None:
+                self._arrays = self._draw(*self._inputs)
+                # what the draws were made from is not needed again
+                self._inputs = None
+        return self._arrays[party, name]
+
+    def _draw(self, rng_state, latent_eve, noise_std, shift, steps) -> dict:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = rng_state
+        m, n = self.shape
+        noise_eve = rng.normal(0.0, noise_std, size=(m, n)) if noise_std else np.zeros((m, n))
+        phase_link = _phase_walk(rng, (m, steps))
+        phase_eve = _phase_walk(rng, (m, steps))
+        arrays = {
+            ("alice", "phase_rad"): phase_link[:, :n],
+            ("bob", "phase_rad"): phase_link[:, shift : shift + n],
+            ("eve", "amplitude_db"): latent_eve + noise_eve,
+            ("eve", "phase_rad"): phase_eve[:, :n],
+        }
+        for arr in arrays.values():
+            if arr.shape != self.shape:
+                raise ConfigError("amplitude and phase must be equal (m, n) matrices")
+            arr.setflags(write=False)
+        if not np.all(np.isfinite(arrays["eve", "amplitude_db"])):
+            raise ConfigError("amplitudes contain non-finite values")
+        return arrays
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _lock=threading.Lock())
 
 
 @dataclass(frozen=True)
@@ -115,9 +200,7 @@ class ScenarioConfig:
     ``process_std``, ``process_corr`` and the drift fields override it for
     tuning. ``eve_correlation`` mixes Eve's otherwise independent process
     with the link process. ``attack_period`` enables the periodic
-    line-of-sight blocking wave. ``rss_mode`` marks a single-stream,
-    low-variation, higher-noise emulation of an RSS measurement chain used
-    for relative comparisons.
+    line-of-sight blocking wave.
     """
 
     preset: str = "custom"
@@ -136,7 +219,6 @@ class ScenarioConfig:
     drift_corr: float = 0.99
     attack_depth: float = 4.0
     base_amplitude_db: float = 20.0
-    rss_mode: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -189,7 +271,7 @@ class PairedTraceSet:
     config: ScenarioConfig
 
     def __post_init__(self):
-        shapes = {t.amplitude_db.shape for t in (self.alice, self.bob, self.eve)}
+        shapes = {(t.m, t.n) for t in (self.alice, self.bob, self.eve)}
         if len(shapes) != 1:
             raise ConfigError(f"traces disagree on (m, n): {sorted(shapes)}")
         expected = self.alice.times + self.config.half_duplex_offset
@@ -230,8 +312,21 @@ def _phase_walk(rng: np.random.Generator, shape) -> np.ndarray:
     start = rng.uniform(-math.pi, math.pi, size=(shape[0], 1))
     steps = rng.normal(0.0, 0.1, size=shape)
     steps[:, 0] = 0.0
-    walk = start + np.cumsum(steps, axis=1)
-    return np.mod(walk + math.pi, 2.0 * math.pi) - math.pi
+    return _wrap_phase(start + np.cumsum(steps, axis=1))
+
+
+def _wrap_phase(walk: np.ndarray) -> np.ndarray:
+    """``np.mod(walk + pi, 2 pi) - pi``, bit for bit, computed in place in ``walk``.
+
+    np.mod is fmod plus the divisor where the remainder is below zero; it
+    also turns a -0.0 remainder into +0.0, which subtracting pi makes -pi
+    either way.
+    """
+    walk += math.pi
+    np.fmod(walk, 2.0 * math.pi, out=walk)
+    np.add(walk, 2.0 * math.pi, out=walk, where=walk < 0)
+    walk -= math.pi
+    return walk
 
 
 def _attack_wave(times: np.ndarray, period: float, depth: float) -> np.ndarray:
@@ -247,6 +342,13 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     both directions of one exchange observe the same channel state; the
     half-duplex offset shifts Bob's timestamps and, when it reaches a whole
     probe interval, the step he samples.
+
+    Only Alice's and Bob's amplitudes, which the quantizer reads, are drawn
+    here. Eve's noise and the phase walks come last in the generator stream
+    and are drawn the first time any of Alice's or Bob's phases or Eve's
+    amplitudes or phases is read, from a snapshot of the generator taken
+    after Bob's noise. Every array is the same whichever is read first, and
+    the same as had all been drawn here.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     m, n = config.m, config.probe_count
@@ -259,9 +361,6 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     proc_eve_own = _ar1(rng, (m, steps), config.effective_process_std, config.process_corr)
     noise_alice = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
     noise_bob = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
-    noise_eve = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
-    phase_link = _phase_walk(rng, (m, steps))
-    phase_eve = _phase_walk(rng, (m, steps))
 
     rho = config.eve_correlation
     mix = math.sqrt(max(0.0, 1.0 - rho * rho))
@@ -287,11 +386,10 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
             times_bob, config.attack_period, config.attack_depth
         )
 
-    alice = CsiTrace("alice", times_alice, latent_alice + noise_alice, phase_link[:, :n])
-    bob = CsiTrace(
-        "bob", times_bob, latent_bob + noise_bob, phase_link[:, shift : shift + n]
-    )
-    eve = CsiTrace("eve", times_alice, latent_eve + noise_eve, phase_eve[:, :n])
+    late = _LateDraws(rng.bit_generator.state, latent_eve, config.noise_std, shift, steps)
+    alice = CsiTrace("alice", times_alice, latent_alice + noise_alice, late)
+    bob = CsiTrace("bob", times_bob, latent_bob + noise_bob, late)
+    eve = CsiTrace("eve", times_alice, late, late)
     return PairedTraceSet(alice=alice, bob=bob, eve=eve, config=config)
 
 
@@ -305,7 +403,6 @@ def rss_emulation(config: ScenarioConfig) -> ScenarioConfig:
     return replace(
         config,
         m=1,
-        rss_mode=True,
         process_std=0.5,
         drift_std=0.1,
         noise_std=max(config.noise_std, 0.4),

@@ -11,7 +11,6 @@ from skece.analysis import (
     TestReport,
     _longest_runs_of_ones,
     _spectral_p_value,
-    mismatch_ratio,
     nist_approx_entropy,
     nist_fft,
     nist_frequency,
@@ -44,19 +43,6 @@ LONGEST_RUN_BITS = np.array(
 
 def prng_bits(n, seed=0):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-
-
-class TestMismatchRatio:
-    def test_examples(self):
-        assert mismatch_ratio([1, 0, 1, 0], [1, 0, 1, 0]) == 0.0
-        assert mismatch_ratio([1, 0, 1, 0], [0, 1, 0, 1]) == 1.0
-        assert mismatch_ratio([1, 0, 1, 0], [1, 0, 0, 0]) == 0.25
-
-    def test_errors(self):
-        with pytest.raises(ConfigError):
-            mismatch_ratio([1, 0], [1])
-        with pytest.raises(ConfigError):
-            mismatch_ratio([], [])
 
 
 class TestPearson:

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from skece.channel import (
     _ar1,
     _load_plain,
     _load_rows,
+    _wrap_phase,
     ScenarioConfig,
     load_trace,
     rss_emulation,
@@ -45,6 +47,38 @@ class TestAr1:
 
     def test_zero_std_is_silent(self):
         assert not _ar1(np.random.default_rng(0), (2, 5), 0.0, 0.9).any()
+
+
+class TestWrapPhase:
+    @staticmethod
+    def np_mod_wrap(walk):
+        return np.mod(walk + math.pi, 2.0 * math.pi) - math.pi
+
+    def test_matches_np_mod_on_edge_values(self):
+        turns = np.array([1.0, 2.0, 3.0, 7.0, 1e6, 2.0**40])
+        edge = np.concatenate(
+            [
+                [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300],
+                turns * 2.0 * math.pi,
+                -turns * 2.0 * math.pi,
+                # walk + pi lands on a multiple of 2 pi
+                turns * 2.0 * math.pi - math.pi,
+                -turns * 2.0 * math.pi - math.pi,
+                [math.pi, -math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(-math.pi, -4.0)],
+            ]
+        )
+        expected = self.np_mod_wrap(edge)
+        assert _wrap_phase(edge.copy()).tobytes() == expected.tobytes()
+
+    def test_matches_np_mod_on_walks(self):
+        # 1.2M values of the random walks simulate wraps, from 40 seeds
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            walk = rng.uniform(-math.pi, math.pi, (30, 1)) + np.cumsum(
+                rng.normal(0.0, 0.1 * (1 + seed % 5), (30, 1000)), axis=1
+            )
+            expected = self.np_mod_wrap(walk)
+            assert _wrap_phase(walk).tobytes() == expected.tobytes()
 
 
 class TestSimulate:
@@ -112,7 +146,7 @@ class TestSimulate:
 
     def test_rss_emulation_is_single_stream(self):
         cfg = rss_emulation(small_config())
-        assert cfg.m == 1 and cfg.rss_mode
+        assert cfg.m == 1
         traces = simulate(cfg)
         assert traces.m == 1
 
@@ -142,6 +176,13 @@ class TestCsiTraceInvariants:
                 amplitude_db=np.zeros((1, 2)),
                 phase_rad=np.zeros((1, 2)),
             )
+
+    def test_a_nan_phase_equals_itself(self):
+        t = CsiTrace("alice", np.array([0.0]), np.zeros((1, 1)), np.array([[np.nan]]))
+        assert t == t
+        assert hash(t) == hash(t)
+        u = CsiTrace("alice", np.array([0.0]), np.zeros((1, 1)), np.array([[0.0]]))
+        assert t != u
 
     def test_compares_times_without_subtracting_them(self):
         # a difference overflows on the first pair and is nan, never <= 0,
