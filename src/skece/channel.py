@@ -105,6 +105,11 @@ class CsiTrace:
         object.__setattr__(self, name, arr)
         return arr
 
+    def __setstate__(self, state):
+        # numpy does not keep the read-only flag through pickle
+        _freeze(state.values())
+        self.__dict__.update(state)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsiTrace):
             return NotImplemented
@@ -189,7 +194,16 @@ class _LateDraws:
         return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
     def __setstate__(self, state):
+        if state["_arrays"] is not None:
+            _freeze(state["_arrays"].values())
         self.__dict__.update(state, _lock=threading.Lock())
+
+
+def _freeze(values) -> None:
+    """Make every numpy array among ``values`` read-only."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -273,9 +273,16 @@ class RecombinationPlan:
 def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan:
     """Draw the shared pick positions for one recombination round.
 
-    Positions are drawn without replacement per stream from a PRNG seeded by
-    (seed, stream index), so both parties derive the identical plan from the
-    public seed alone. Selections are ordered by stream, then draw order.
+    One generator seeded by the public seed walks the streams in index
+    order and takes the first l_i entries of a permutation of each stream
+    with l_i > 0: l_i positions drawn uniformly without replacement. Both
+    parties derive the identical plan from the seed and their own stream
+    lengths. Selections are ordered by stream, then draw order.
+
+    A permutation consumes generator output in proportion to its stream's
+    length, so if the parties disagree on the length of one stream, the
+    picks of every later stream differ too; the candidates then differ and
+    the round's tag catches it, as it catches any other mismatch.
     """
     lengths = np.asarray(stream_lengths, dtype=np.int64)
     if lengths.shape != allocation.picks.shape:
@@ -287,11 +294,8 @@ def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan
             f"{allocation.picks[bad]} picks were allocated"
         )
     picks = allocation.picks.tolist()
-    positions = [
-        np.random.default_rng(np.random.SeedSequence([seed, i])).permutation(lengths[i])[:k]
-        for i, k in enumerate(picks)
-        if k
-    ]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    positions = [rng.permutation(n)[:k] for n, k in zip(lengths.tolist(), picks) if k]
     return RecombinationPlan(
         seed=seed,
         streams=np.repeat(np.arange(len(picks)), picks),

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 from skece import experiments
 from skece.analysis import (
@@ -43,6 +44,11 @@ LONGEST_RUN_BITS = np.array(
 
 def prng_bits(n, seed=0):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def preset_key_material(preset: str) -> np.ndarray:
+    return experiments.key_material(experiments.load_scenario(preset), seed=11).bits
 
 
 class TestPearson:
@@ -143,7 +149,7 @@ class TestLongestRun:
 
     @pytest.mark.parametrize("preset", list("ABCDEF"))
     def test_p_values_match_the_loop_on_key_material(self, preset):
-        bits = experiments.key_material(experiments.load_scenario(preset), seed=11).bits
+        bits = preset_key_material(preset)
         rep = nist_longest_run(bits)
         assert (rep.statistic, rep.p_value) == loop_longest_run_report(bits)
 
@@ -186,6 +192,16 @@ class TestSpectral:
         bits = np.array([1, 0, 0, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
         _, p = _spectral_p_value(bits)
         assert p == pytest.approx(0.468160, abs=1e-4)
+
+    @pytest.mark.parametrize("preset", list("ABCDEF"))
+    def test_matches_the_full_fft_on_key_material(self, preset):
+        # the statistic as SP 800-22 writes it: moduli of the complex FFT
+        bits = preset_key_material(preset)
+        n = bits.size
+        moduli = np.abs(np.fft.fft(2.0 * bits.astype(np.float64) - 1.0))[: n // 2]
+        n1 = np.count_nonzero(moduli < math.sqrt(math.log(1.0 / 0.05) * n))
+        d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+        assert _spectral_p_value(bits) == (d, erfc(abs(d) / math.sqrt(2.0)))
 
 
 class TestApproxEntropy:

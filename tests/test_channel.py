@@ -1,5 +1,7 @@
+import copy
 import csv
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +211,23 @@ class TestCsiTraceInvariants:
                 amplitude_db=np.zeros((2, 2)),
                 phase_rad=np.zeros((2, 2)),
             )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_pickled_copy_stays_read_only(self, protocol):
+        t = simulate(small_config())
+        alice = pickle.loads(pickle.dumps(t.alice, protocol=protocol))
+        with pytest.raises(ValueError, match="read-only"):
+            alice.amplitude_db[0, 0] = np.nan
+        for field in ("times", "amplitude_db", "phase_rad"):
+            assert not getattr(alice, field).flags.writeable, field
+        assert alice == t.alice
+
+    def test_a_deep_copy_stays_read_only(self):
+        t = CsiTrace("alice", np.array([0.0, 1.0]), np.zeros((1, 2)), np.zeros((1, 2)))
+        dup = copy.deepcopy(t)
+        assert dup == t
+        with pytest.raises(ValueError, match="read-only"):
+            dup.times[0] = 5.0
 
 
 class TestTraceFiles:

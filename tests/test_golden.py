@@ -9,6 +9,12 @@ cap changes a digest. The digests were taken from the per-stream quantizer
 that preceded the matrix quantizer. One more digest pins the bytes of the
 three trace files ``save_trace`` writes for one session; it was taken from
 the ``csv.writer`` writer that preceded the chunked one.
+
+The (C, 256) sessions recombine, and their rounds were pinned again when
+``recombine.plan`` went from one generator per stream to one per round. The
+transcripts up to their first RECOMB_SEED frame still hash to a digest taken
+before, and every round's tag and verdict and the keys are checked against
+the reference picks of ``test_recombine``.
 """
 
 import hashlib
@@ -18,6 +24,7 @@ import numpy as np
 import pytest
 
 from skece import channel, experiments, protocol
+from test_recombine import assert_rounds_follow_reference, session_streams, through_first_seed
 
 SEEDS = (0, 1, 2)
 
@@ -34,17 +41,22 @@ def _bits(stream) -> bytes:
     return b"-" if stream is None else stream.bits.tobytes()
 
 
-@lru_cache(maxsize=None)
-def _sessions(preset: str, key_length: int):
+def _session_inputs(preset: str, key_length: int):
     scenario = experiments.load_scenario(preset)
-    out = []
     for seed in SEEDS:
         traces = channel.simulate(scenario.with_seed(seed).config)
         params = protocol.ProtocolParams(
             alpha=scenario.alpha, key_length=key_length, rng_seed=seed
         )
-        out.append(protocol.run_key_agreement(traces, params))
-    return out
+        yield traces, params
+
+
+@lru_cache(maxsize=None)
+def _sessions(preset: str, key_length: int):
+    return [
+        protocol.run_key_agreement(traces, params)
+        for traces, params in _session_inputs(preset, key_length)
+    ]
 
 
 SESSION_DIGESTS = {
@@ -55,7 +67,7 @@ SESSION_DIGESTS = {
     ("E", 128): "4cc8d34c46b06f053a32830a26b3031fa2d217efed2cd79eaa2f6e016d6de6b8",
     ("F", 128): "4944875062ce34ed2c2fbb68eee12322583110e300250a8ed237ea53dcc9dd36",
     # no stream reaches 256 bits, so these sessions recombine
-    ("C", 256): "feb0c6fbf6af3b3f6e7a12c0b39543044bc402ac1e0a6ec51659d3f378eb7c35",
+    ("C", 256): "d44e78a934418586dc5e81155b1d73a4f38104a3497b529de59a345a60e7d21b",
 }
 
 EVE_DIGESTS = {
@@ -94,6 +106,23 @@ def test_eve_guesses(case):
 def test_recombining_sessions_reach_diff_vector():
     for result, _ in _sessions("C", 256):
         assert protocol.MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+
+
+def test_recombining_sessions_up_to_their_first_round():
+    chunks = [
+        protocol.transcript_to_jsonl(through_first_seed(result.messages)).encode("utf-8")
+        for result, _ in _sessions("C", 256)
+    ]
+    assert _sha(chunks) == (
+        "c4e3e8647bafc3c630cdfbfab0aa684a9e0640254dfe2232c16522698779cba2"
+    )
+
+
+def test_recombining_sessions_follow_the_reference_picks():
+    sessions = zip(_sessions("C", 256), _session_inputs("C", 256))
+    for (result, _), (traces, params) in sessions:
+        assert result.matched_via == "recombination"
+        assert_rounds_follow_reference(result, *session_streams(traces, params), params)
 
 
 def test_key_material():

@@ -1,23 +1,30 @@
 import hashlib
+import struct
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skece import quantizer
 from skece.channel import ScenarioConfig, simulate
 from skece.errors import ConfigError, DesyncError, InsufficientBitsError, WireFormatError
 from skece.protocol import (
+    VERDICT_MATCH,
+    VERDICT_MISMATCH,
     MsgType,
     ProtocolParams,
+    encode_tags,
     reconcile_bit_streams,
     run_key_agreement,
     transcript_to_jsonl,
 )
 from skece.quantizer import BitStream
 from skece.recombine import (
+    Allocation,
     DiffDegrees,
     allocate,
     decode_diff_vector,
@@ -30,6 +37,7 @@ from skece.recombine import (
     success_probability,
     weights,
 )
+from skece.validation import checking_length, make_tag
 
 
 def recursive_edit_distance(a: str, b: str) -> int:
@@ -149,8 +157,87 @@ def _transcript_digest(messages) -> str:
     return hashlib.sha256(transcript_to_jsonl(messages).encode("utf-8")).hexdigest()
 
 
+def through_first_seed(messages) -> list:
+    """A transcript up to and including its first RECOMB_SEED frame."""
+    types = [m.msg_type for m in messages]
+    return messages[: types.index(MsgType.RECOMB_SEED) + 1]
+
+
+def reference_picks(seed: int, picks, lengths) -> list[tuple[int, int]]:
+    """One round's (stream, position) picks as ``plan`` derives them, one at a time.
+
+    One generator seeded by the round's seed; for each stream with picks, in
+    index order, the first picks[i] entries of a permutation of that stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = []
+    for i in range(len(picks)):
+        if picks[i] == 0:
+            continue
+        order = rng.permutation(int(lengths[i]))
+        for j in range(int(picks[i])):
+            out.append((i, int(order[j])))
+    return out
+
+
+def reference_candidate(streams, seed: int, allocation) -> np.ndarray:
+    lengths = [len(s) for s in streams]
+    picked = reference_picks(seed, allocation.picks.tolist(), lengths)
+    return np.array([streams[i].bits[j] for i, j in picked], dtype=np.uint8)
+
+
+def session_streams(traces, params):
+    """Both parties' streams of a session, as ``run_key_agreement`` extracts them."""
+    quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, params.alpha)
+    quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
+    drops = (quant_a.inside, quant_b.inside)
+    return (
+        quantizer.extract_streams(quant_a, *drops, "alice", params.key_length),
+        quantizer.extract_streams(quant_b, *drops, "bob", params.key_length),
+    )
+
+
+def assert_rounds_follow_reference(result, streams_a, streams_b, params):
+    """Each round's tag and verdict, and the keys, are those of the reference picks.
+
+    Each party's allocation comes from its own streams and the DIFF_VECTOR
+    frames, and each round's candidates from the seed in its RECOMB_SEED frame.
+    """
+    messages = result.messages
+    (_, res_a, x), (_, res_b, _) = [
+        decode_diff_vector(m.payload) for m in messages if m.msg_type == MsgType.DIFF_VECTOR
+    ]
+    allocations = [
+        allocate(
+            weights(difference_degree(edit_distances_to_reference(streams, x), peer, params.theta)),
+            params.key_length,
+            stream_lengths=[len(s) for s in streams],
+        )
+        for streams, peer in ((streams_a, res_b), (streams_b, res_a))
+    ]
+    r = checking_length(params.gamma)
+    rounds = [i for i, m in enumerate(messages) if m.msg_type == MsgType.RECOMB_SEED]
+    assert len(rounds) == result.rounds_used
+    for i in rounds:
+        (seed,) = struct.unpack(">Q", messages[i].payload)
+        cand_a = reference_candidate(streams_a, seed, allocations[0])
+        cand_b = reference_candidate(streams_b, seed, allocations[1])
+        tag, verdict = messages[i + 1], messages[i + 2]
+        assert tag.payload == encode_tags([make_tag(cand_a, r)], r)
+        match = make_tag(cand_b, r) == make_tag(cand_a, r)
+        assert verdict.payload == bytes([VERDICT_MATCH if match else VERDICT_MISMATCH])
+    if result.matched_via == "recombination":
+        assert result.key.bits.tobytes() == cand_a.tobytes()
+        assert result.peer_key.bits.tobytes() == cand_b.tobytes()
+
+
 class TestGoldenTranscripts:
-    """Transcripts of two sessions that exchange DIFF_VECTOR, pinned by hash."""
+    """Transcripts of two sessions that run recombination rounds, pinned by hash.
+
+    Up to and including the first RECOMB_SEED frame, each transcript still
+    hashes to the digest taken when every stream's picks had a generator of
+    their own; the rounds after it follow the reference picks.
+    """
 
     def test_full_session_from_noisy_traces(self):
         traces = simulate(ScenarioConfig(m=6, probe_count=400, noise_std=2.0, rng_seed=3))
@@ -158,9 +245,12 @@ class TestGoldenTranscripts:
             alpha=0.2, key_length=96, rng_seed=3, max_rounds=5, gamma=0.9999
         )
         result, _ = run_key_agreement(traces, params)
-        assert MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+        assert _transcript_digest(through_first_seed(result.messages)) == (
+            "94cf67d3edeaf9f473c917aead294995b62dab251ea6e5af5ac71b24ef108e19"
+        )
+        assert_rounds_follow_reference(result, *session_streams(traces, params), params)
         assert _transcript_digest(result.messages) == (
-            "a6c15c026d2e1b47b1de5c813028bbf555143bdd38021add7de239916d917163"
+            "fb09388b0e02735d79c72045dea5aca46437e415b965fec9a711a5457e764757"
         )
 
     def test_reconciliation_over_unequal_streams(self):
@@ -175,9 +265,12 @@ class TestGoldenTranscripts:
             streams_b.append(BitStream(b, party="bob", stream=i))
         params = ProtocolParams(key_length=64, max_rounds=10, rng_seed=17, gamma=0.9999)
         result = reconcile_bit_streams(streams_a, streams_b, params)
-        assert MsgType.DIFF_VECTOR in [m.msg_type for m in result.messages]
+        assert _transcript_digest(through_first_seed(result.messages)) == (
+            "c2a9022373717f2f4108ce21b968f4502d6904bb1bc92a507752fc99c9b74830"
+        )
+        assert_rounds_follow_reference(result, streams_a, streams_b, params)
         assert _transcript_digest(result.messages) == (
-            "8b7a3ef45456d6bfdf1f41866e47967fda39f7a4cf872d7f7c06551fcfbcf047"
+            "1b072df20f29900d9c3db8ce9a4e78c9addff2da6350fa71c438cd58be834067"
         )
 
 
@@ -287,6 +380,29 @@ class TestPlan:
         with pytest.raises(ConfigError):
             plan(0, alloc, [4])
 
+    def test_matches_the_reference_picks(self):
+        rng = np.random.default_rng(13)
+        for seed in range(200):
+            lengths = rng.integers(0, 40, size=int(rng.integers(1, 8)))
+            lengths[-1] += 1
+            key_length = int(rng.integers(1, lengths.sum() + 1))
+            alloc = allocate(rng.dirichlet(np.ones(lengths.size)), key_length, lengths)
+            p = plan(seed, alloc, lengths)
+            picked = reference_picks(seed, alloc.picks.tolist(), lengths)
+            assert list(zip(p.streams.tolist(), p.positions.tolist())) == picked
+
+    def test_picks_in_one_stream_do_not_depend_on_another(self):
+        # one pick from each of two streams: all 3 x 4 position pairs equally often
+        alloc = Allocation(weights=[0.5, 0.5], picks=[1, 1], key_length=2)
+        counts = np.zeros((3, 4))
+        trials = 4000
+        for seed in range(trials):
+            p = plan(seed, alloc, [3, 4])
+            counts[tuple(p.positions)] += 1
+        freq = counts / trials
+        sigma = (1 / 12 * 11 / 12 / trials) ** 0.5
+        assert np.all(np.abs(freq - 1 / 12) < 4.5 * sigma)
+
 
 class TestRecombine:
     def test_same_plan_on_matched_streams_agrees(self):
@@ -370,6 +486,29 @@ class TestSuccessProbability:
         mc = 1.0 - hits.mean()
         formula = success_probability([d], [l], key_length=L, rounds=1)
         assert abs(formula - mc) < 0.01
+
+    def test_plan_and_recombine_agree_as_often_as_the_exact_product(self):
+        # streams of one length L with known mismatches: the candidates are
+        # equal exactly when no pick lands on a mismatch, with probability
+        # prod_i C(L - d_i, l_i) / C(L, l_i)
+        L, d, l = 30, [1, 2, 0, 3], [6, 5, 8, 4]
+        rng = np.random.default_rng(14)
+        streams_a = [BitStream(rng.integers(0, 2, L, dtype=np.uint8)) for _ in d]
+        streams_b = []
+        for s, di in zip(streams_a, d):
+            b = s.bits.copy()
+            b[rng.choice(L, size=di, replace=False)] ^= 1
+            streams_b.append(BitStream(b))
+        alloc = Allocation(weights=np.divide(l, sum(l)), picks=l, key_length=sum(l))
+        trials = 3000
+        equal = 0
+        for seed in range(trials):
+            p = plan(seed, alloc, [L] * len(d))
+            equal += np.array_equal(recombine(streams_a, p).bits, recombine(streams_b, p).bits)
+        freq = equal / trials
+        exact = float(np.prod([comb(L - di, li) / comb(L, li) for di, li in zip(d, l)]))
+        assert abs(freq - exact) < 4.5 * (exact * (1 - exact) / trials) ** 0.5
+        assert freq >= success_probability(d, l, key_length=L, rounds=1)
 
     def test_more_rounds_monotone_to_one(self):
         values = [
