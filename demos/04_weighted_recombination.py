@@ -29,13 +29,13 @@ streams_b = [BitStream(noisy[i], party="bob", stream=i) for i in range(m)]
 x = rng.integers(0, 2, size=L, dtype=np.uint8)
 d_a = recombine.edit_distances_to_reference(streams_a, x)
 d_b = recombine.edit_distances_to_reference(streams_b, x)
-degrees = recombine.difference_degree(d_a, d_b, theta=5)
-w = recombine.weights(degrees)
-alloc = recombine.allocate(w, L, stream_lengths=np.full(m, L))
-print("difference degrees:", degrees.d_tilde.tolist())
-print("picks per stream:  ", alloc.picks.tolist(), f"(sum {alloc.picks.sum()})")
+d_tilde = recombine.difference_degree(d_a, d_b, theta=5)
+w = recombine.weights(d_tilde, theta=5)
+picks = recombine.allocate(w, L, np.full(m, L))
+print("difference degrees:", d_tilde.tolist())
+print("picks per stream:  ", picks.tolist(), f"(sum {picks.sum()})")
 
-predicted = recombine.success_probability(damage, alloc.picks, key_length=L, rounds=1)
+predicted = recombine.success_probability(damage, picks, key_length=L, rounds=1)
 print(f"\npredicted single-round success: {predicted:.3f}")
 
 # with 30 damaged streams a default 6-bit tag collides somewhere in roughly

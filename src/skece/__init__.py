@@ -42,9 +42,6 @@ from .validation import ValidationTag, checking_length, make_tag, validate
 # the recombine() operation itself stays namespaced (skece.recombine.recombine)
 # so the submodule attribute is not shadowed by a same-named function
 from .recombine import (
-    Allocation,
-    DiffDegrees,
-    RecombinationPlan,
     allocate,
     difference_degree,
     edit_distance,
@@ -83,8 +80,8 @@ __all__ = [
     "BitStream", "DropList", "Thresholds", "compute_thresholds", "drop_indices",
     "extract_bits", "extract_streams", "keep_mask", "merge_kept", "quantize_matrix",
     "ValidationTag", "checking_length", "make_tag", "validate",
-    "Allocation", "DiffDegrees", "RecombinationPlan", "allocate", "difference_degree",
-    "edit_distance", "plan", "success_probability", "weights",
+    "allocate", "difference_degree", "edit_distance", "plan", "success_probability",
+    "weights",
     "CascadeConfig", "ReconciliationOutcome", "cascade_reconcile",
     "EveView", "KeyAgreementResult", "MsgType", "ProtocolMessage", "ProtocolParams",
     "decode", "encode", "eve_attempt", "run_key_agreement",

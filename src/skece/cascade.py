@@ -68,6 +68,8 @@ def cascade_reconcile(a: BitStream, b: BitStream, cfg: CascadeConfig) -> Reconci
     if len(a) != len(b):
         raise ConfigError(f"stream lengths differ: {len(a)} vs {len(b)}")
     n = len(a)
+    if n == 0:
+        raise ConfigError("cannot reconcile empty streams")
     link = Link()
     bits_b = b.bits.copy()
     leaked = 0

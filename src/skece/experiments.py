@@ -303,16 +303,24 @@ def attack_experiment(seed: int = 0, probes: int = 2048) -> dict:
 def eve_independence(
     scenario: Scenario, seed: int, bits_per_stream: int = 10_000
 ) -> np.ndarray:
-    """Per-stream Pearson correlation between Eve's guesses and Alice's bits."""
+    """Per-stream Pearson correlation between Eve's guesses and Alice's bits.
+
+    Eve's guesses read only the two DROP_LIST frames, so the session stops
+    after that exchange; its streams for Alice are the reference.
+    """
     rate = keep_rate_estimate(scenario.alpha)
     n = math.ceil(bits_per_stream * 1.3 / rate)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
     traces = channel.simulate(cfg)
-    params = protocol.ProtocolParams(
-        alpha=scenario.alpha, key_length=bits_per_stream, max_rounds=0, rng_seed=seed
+    params = protocol.ProtocolParams(alpha=scenario.alpha, key_length=bits_per_stream)
+    link = protocol.Link()
+    streams_a, _ = protocol.exchange_drop_lists(traces, params, link)
+    eve_view = protocol.EveView(
+        transcript=list(link.transcript),
+        trace=traces.eve,
+        alpha=params.alpha,
+        gamma=params.gamma,
+        theta=params.theta,
+        key_length=params.key_length,
     )
-    _, eve_view = protocol.run_key_agreement(traces, params)
-    streams_a, _ = extract_party_streams(traces, scenario.alpha)
-    reference = [s.bits[:bits_per_stream] for s in streams_a]
-    attempt = protocol.eve_attempt(eve_view, reference_streams=reference)
-    return attempt.correlations
+    return protocol.eve_attempt(eve_view, reference_streams=streams_a).correlations

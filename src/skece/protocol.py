@@ -358,10 +358,10 @@ def _stream_key(mask, streams, key_length: int) -> BitStream | None:
 
 def _allocation(own_distances, peer_residues, streams, params: ProtocolParams):
     """This party's pick counts from its own distances and the peer's residues."""
-    degrees = recombine.difference_degree(own_distances, peer_residues, params.theta)
+    d_tilde = recombine.difference_degree(own_distances, peer_residues, params.theta)
     lengths = np.array([len(s) for s in streams], dtype=np.int64)
-    w = recombine.weights(degrees)
-    return recombine.allocate(w, params.key_length, stream_lengths=lengths), lengths
+    w = recombine.weights(d_tilde, params.theta)
+    return recombine.allocate(w, params.key_length, lengths), lengths
 
 
 def reconcile_bit_streams(
@@ -426,8 +426,8 @@ def reconcile_bit_streams(
         params.theta, d_b % params.theta, np.zeros(0, dtype=np.uint8)
     )
     res_b, _ = _peer_residues(link.send(B_TO_A, MsgType.DIFF_VECTOR, payload), params.theta)
-    allocation_a, lengths_a = _allocation(d_a, res_b, streams_a, params)
-    allocation_b, lengths_b = _allocation(d_b, res_a, streams_b, params)
+    picks_a, lengths_a = _allocation(d_a, res_b, streams_a, params)
+    picks_b, lengths_b = _allocation(d_b, res_a, streams_b, params)
 
     for round_no in range(1, params.max_rounds + 1):
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
@@ -435,8 +435,8 @@ def reconcile_bit_streams(
         if len(payload) != _SEED.size:
             raise WireFormatError(f"seed payload must be 8 bytes, got {len(payload)}")
         (seed_at_b,) = _SEED.unpack(payload)
-        plan_a = recombine.plan(seed, allocation_a, lengths_a)
-        plan_b = recombine.plan(seed_at_b, allocation_b, lengths_b)
+        plan_a = recombine.plan(seed, picks_a, lengths_a)
+        plan_b = recombine.plan(seed_at_b, picks_b, lengths_b)
         cand_a = recombine.recombine(streams_a, plan_a)
         cand_b = recombine.recombine(streams_b, plan_b)
         payload = encode_tags([validation.make_tag(cand_a, r)], r)
@@ -447,10 +447,32 @@ def reconcile_bit_streams(
         if isinstance(verdict, np.ndarray):
             raise ProtocolError("expected a scalar round verdict, got a stream mask")
         if verdict == VERDICT_MATCH:
-            picked = {int(i): int(k) for i, k in enumerate(allocation_a.picks) if k > 0}
+            picked = {int(i): int(k) for i, k in enumerate(picks_a) if k > 0}
             return result(cand_a, cand_b if ok_b else None, "recombination", round_no, picked)
 
     return result(None, None, None, params.max_rounds, {})
+
+
+def exchange_drop_lists(traces: PairedTraceSet, params: ProtocolParams, link: Link):
+    """Quantize both traces and swap their DROP_LIST frames over ``link``.
+
+    Each party merges its own drop mask with the one it decodes from the
+    peer's frame. Returns both parties' streams, capped at the key length.
+    """
+    quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, params.alpha)
+    quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
+    payload = link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(quant_a.inside))
+    drops_a_at_b = decode_drop_lists(payload, quant_b.inside.shape[1])
+    payload = link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.inside))
+    drops_b_at_a = decode_drop_lists(payload, quant_a.inside.shape[1])
+    return (
+        quantizer.extract_streams(
+            quant_a, quant_a.inside, drops_b_at_a, traces.alice.party, params.key_length
+        ),
+        quantizer.extract_streams(
+            quant_b, drops_a_at_b, quant_b.inside, traces.bob.party, params.key_length
+        ),
+    )
 
 
 def run_key_agreement(
@@ -462,21 +484,7 @@ def run_key_agreement(
     probe traffic enters the counters but not the transcript.
     """
     link = Link()
-    quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, params.alpha)
-    quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
-
-    # each party merges its own drop mask with the one it decodes from the peer
-    payload = link.send(A_TO_B, MsgType.DROP_LIST, encode_drop_lists(quant_a.inside))
-    drops_a_at_b = decode_drop_lists(payload, quant_b.inside.shape[1])
-    payload = link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.inside))
-    drops_b_at_a = decode_drop_lists(payload, quant_a.inside.shape[1])
-
-    streams_a = quantizer.extract_streams(
-        quant_a, quant_a.inside, drops_b_at_a, traces.alice.party, params.key_length
-    )
-    streams_b = quantizer.extract_streams(
-        quant_b, drops_a_at_b, quant_b.inside, traces.bob.party, params.key_length
-    )
+    streams_a, streams_b = exchange_drop_lists(traces, params, link)
     if sum(len(s) for s in streams_a) < params.key_length:
         raise InsufficientBitsError(
             f"streams hold {sum(len(s) for s in streams_a)} bits, "

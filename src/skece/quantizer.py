@@ -91,10 +91,15 @@ class BitStream:
 def _as_bits(bits) -> np.ndarray:
     if isinstance(bits, BitStream):
         return bits.bits
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ConfigError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    if arr.dtype != np.uint8:
+        # check before the cast, which would truncate 0.5 to 0 and wrap -1 to 255
+        if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+            raise ConfigError("bit sequence must contain only 0 and 1")
+        arr = arr.astype(np.uint8)
+    elif arr.size and arr.max() > 1:
         raise ConfigError("bit sequence must contain only 0 and 1")
     return arr
 

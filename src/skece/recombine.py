@@ -2,7 +2,7 @@
 
 When every stream fails validation, the parties estimate how different each
 stream pair is without revealing bits: Alice publishes a random reference
-string X and the per-stream edit distances to X reduced modulo theta,
+bit string X and the per-stream edit distances to X reduced modulo theta,
 
     d'_i      = d_i mod theta,
     dtilde_i  = |d'_a,i - d'_b,i|.
@@ -15,17 +15,18 @@ and contribute l_i = ceil(L * w_i) bit picks (repaired so the picks sum to
 exactly L). Both parties then draw the same positions from a shared public
 seed and splice the picked bits into a fresh candidate key.
 
-The distances d_i come from one bit-parallel Levenshtein kernel
-(Myers/Hyyrö) that packs all streams into one Python int and advances them
-together: len(X) steps, each a dozen big-int operations on a sum(L_i)-bit
-word. :func:`edit_distance` is the same kernel on a single stream.
+Every stage takes and returns plain numpy arrays: distances, then difference
+degrees, weights, per-stream picks, and a (streams, positions) pick plan.
+The distances come from one bit-parallel Levenshtein kernel (Myers/Hyyrö)
+over 0/1 symbols that packs all streams into one Python int and advances
+them together: len(X) steps, each a dozen big-int operations on a
+sum(L_i)-bit word. :func:`edit_distance` is the same kernel on one stream.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +37,9 @@ from .validation import canonical_bit_encoding
 _DIFF_HEADER = struct.Struct(">BH")
 _LEN_HEADER = struct.Struct(">Q")
 
-WEIGHT_SUM_TOL = 1e-12
-
-
-def _as_symbols(x) -> np.ndarray:
-    """Coerce a string, BitStream or sequence into a 1-D comparison array."""
-    if isinstance(x, BitStream):
-        return x.bits
-    if isinstance(x, str):
-        # one symbol per code point, not per UTF-8 byte
-        return np.frombuffer(x.encode("utf-32-le"), dtype="<u4")
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ConfigError("edit distance operands must be one-dimensional")
-    return arr
-
 
 def edit_distance(a, b) -> int:
-    """Levenshtein distance with unit-cost insert, delete and substitute."""
+    """Levenshtein distance between two bit sequences, unit-cost edits."""
     return int(edit_distances_to_reference([a], b)[0])
 
 
@@ -69,15 +55,17 @@ def _unpack(word: int, nbits: int) -> np.ndarray:
 
 
 def edit_distances_to_reference(streams, reference) -> np.ndarray:
-    """Levenshtein distance from each stream to one shared reference string.
+    """Levenshtein distance from each bit stream to one shared reference.
 
     A bit-parallel Myers/Hyyrö kernel (G. Myers, J. ACM 46(3), 1999, in the
     global-distance form of H. Hyyrö, Nordic J. Computing 10, 2003) with the
     streams as the pattern and the reference X as the text. Stream k occupies
     bits [off_k, off_k + len_k) of one Python int, followed by a guard bit
-    that is 0 in Pv, Mv and every Eq, so all streams advance together: the
-    loop runs len(X) steps of a dozen big-int operations on one
-    sum(len_k + 1)-bit word, whatever the number of streams.
+    that is 0 in Pv, Mv and both Eq words, so all streams advance together:
+    the loop runs len(X) steps of a dozen big-int operations on one
+    sum(len_k + 1)-bit word, whatever the number of streams. With two
+    symbols there are two Eq words: eq1 holds the stream bits and
+    eq0 = mask & ~eq1 their complement inside the streams.
 
     Pv/Mv mark where D[i][j] - D[i-1][j] is +1/-1 in the current column j.
     A carry out of a stream in the horizontal step's sum stops at its guard
@@ -87,10 +75,10 @@ def edit_distances_to_reference(streams, reference) -> np.ndarray:
     D[0][j] = j), or on a guard bit or past the word, and the mask clears
     those bits of Pv, so Mv = Ph & Xv keeps them 0 too. After the last column,
     d_k = len(X) + popcount(Pv in stream k) - popcount(Mv in stream k).
-    A stream symbol that does not occur in X matches nothing.
+    A symbol other than 0 or 1 raises :class:`ConfigError`.
     """
-    arrays = [_as_symbols(s) for s in streams]
-    ref = _as_symbols(reference)
+    arrays = [_as_bits(s) for s in streams]
+    ref = _as_bits(reference)
     if not arrays:
         return np.zeros(0, dtype=np.int64)
     lengths = np.array([a.size for a in arrays], dtype=np.int64)
@@ -101,17 +89,13 @@ def edit_distances_to_reference(streams, reference) -> np.ndarray:
     inside[ends] = False
     first = np.zeros(total, dtype=bool)
     first[starts[lengths > 0]] = True
-    mask, ones = _pack(inside), _pack(first)
-
-    # one code per distinct symbol of X and the streams; guard bits get -1
-    _, inverse = np.unique(np.concatenate([ref, *arrays]), return_inverse=True)
-    ref_codes = inverse[: ref.size].tolist()
-    layout = np.full(total, -1, dtype=np.int64)
-    layout[inside] = inverse[ref.size :]
-    peq = {v: _pack(layout == v) for v in set(ref_codes)}
+    layout = np.zeros(total, dtype=np.uint8)
+    layout[inside] = np.concatenate(arrays)
+    mask, ones, eq1 = _pack(inside), _pack(first), _pack(layout)
+    peq = (mask & ~eq1, eq1)
 
     pv, mv = mask, 0
-    for v in ref_codes:
+    for v in ref.tolist():
         eq = peq[v]
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -127,29 +111,13 @@ def edit_distances_to_reference(streams, reference) -> np.ndarray:
     return ref.size + (up[ends] - up[starts]) - (down[ends] - down[starts])
 
 
-@dataclass(frozen=True)
-class DiffDegrees:
-    """Per-stream difference degrees |d'_a - d'_b|, each in [0, theta-1]."""
+def difference_degree(d_a, d_b, theta: int) -> np.ndarray:
+    """Difference degrees |d_a mod theta - d_b mod theta|, each in [0, theta-1].
 
-    d_tilde: np.ndarray
-    theta: int
-
-    def __post_init__(self):
-        d = np.asarray(self.d_tilde, dtype=np.int64)
-        if self.theta < 2:
-            raise ConfigError(f"theta must be >= 2, got {self.theta}")
-        if d.size and (d.min() < 0 or d.max() > self.theta - 1):
-            raise ConfigError("difference degrees must lie in [0, theta-1]")
-        d.setflags(write=False)
-        object.__setattr__(self, "d_tilde", d)
-
-
-def difference_degree(d_a, d_b, theta: int) -> DiffDegrees:
-    """Difference degrees from two parties' edit distances or their residues.
-
-    This is the published reduction, the plain absolute difference of the
-    two residues, which can overstate dissimilarity across the modulus wrap
-    (e.g. residues 4 and 0 for theta=5 give 4).
+    Takes two parties' edit distances or their residues. This is the
+    published reduction, the plain absolute difference of the two residues,
+    which can overstate dissimilarity across the modulus wrap (e.g. residues
+    4 and 0 for theta=5 give 4).
     """
     d_a = np.asarray(d_a, dtype=np.int64)
     d_b = np.asarray(d_b, dtype=np.int64)
@@ -157,52 +125,30 @@ def difference_degree(d_a, d_b, theta: int) -> DiffDegrees:
         raise ConfigError("distance vectors must have equal length")
     if theta < 2:
         raise ConfigError(f"theta must be >= 2, got {theta}")
-    return DiffDegrees(d_tilde=np.abs(d_a % theta - d_b % theta), theta=theta)
+    return np.abs(d_a % theta - d_b % theta)
 
 
-def weights(dd: DiffDegrees) -> np.ndarray:
+def weights(d_tilde, theta: int) -> np.ndarray:
     """Per-stream weights (theta - dtilde_i) / sum_j (theta - dtilde_j)."""
-    if dd.d_tilde.size == 0:
+    d = np.asarray(d_tilde, dtype=np.int64)
+    if theta < 2:
+        raise ConfigError(f"theta must be >= 2, got {theta}")
+    if d.size == 0:
         raise ConfigError("cannot weight an empty stream set")
-    raw = (dd.theta - dd.d_tilde).astype(np.float64)
+    if d.min() < 0 or d.max() > theta - 1:
+        raise ConfigError("difference degrees must lie in [0, theta-1]")
+    raw = (theta - d).astype(np.float64)
     return raw / raw.sum()
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """How many bits each stream contributes to an L-bit candidate key."""
-
-    weights: np.ndarray
-    picks: np.ndarray
-    key_length: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        p = np.asarray(self.picks, dtype=np.int64)
-        if w.shape != p.shape:
-            raise ConfigError("weights and picks must have equal length")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError(f"weights must sum to 1, got {w.sum()!r}")
-        if p.size and p.min() < 0:
-            raise ConfigError("picks must be non-negative")
-        if int(p.sum()) != self.key_length:
-            raise ConfigError(
-                f"picks sum to {int(p.sum())}, expected key length {self.key_length}"
-            )
-        w.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "picks", p)
-
-
-def allocate(w, key_length: int, stream_lengths=None) -> Allocation:
-    """Turn weights into per-stream pick counts summing to exactly L.
+def allocate(w, key_length: int, stream_lengths) -> np.ndarray:
+    """Per-stream pick counts that sum to exactly L and fit their streams.
 
     Raw counts are ceil(L * w_i); because the ceilings generically overshoot,
     the stream with the largest current picks (ties to the lowest index) is
-    decremented until the total is L. When stream lengths are supplied, no
-    pick may exceed its stream, and picks removed by that cap are reassigned
-    by the same largest-first rule among streams with headroom.
+    decremented until the total is L. No pick may exceed its stream, and
+    picks removed by that cap are reassigned by the same largest-first rule
+    among streams with headroom.
     """
     w = np.asarray(w, dtype=np.float64)
     if key_length < 1:
@@ -211,67 +157,30 @@ def allocate(w, key_length: int, stream_lengths=None) -> Allocation:
         raise ConfigError("need at least one stream weight")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ConfigError(f"weights must sum to 1, got {w.sum()!r}")
-    caps = None
-    if stream_lengths is not None:
-        caps = np.asarray(stream_lengths, dtype=np.int64)
-        if caps.shape != w.shape:
-            raise ConfigError("stream_lengths must match the weight vector")
-        if caps.min() < 0:
-            raise ConfigError("stream lengths must be non-negative")
-        if int(caps.sum()) < key_length:
-            raise InsufficientBitsError(
-                f"streams hold {int(caps.sum())} bits in total, "
-                f"cannot pick a {key_length}-bit key"
-            )
+    caps = np.asarray(stream_lengths, dtype=np.int64)
+    if caps.shape != w.shape:
+        raise ConfigError("stream_lengths must match the weight vector")
+    if caps.min() < 0:
+        raise ConfigError("stream lengths must be non-negative")
+    if int(caps.sum()) < key_length:
+        raise InsufficientBitsError(
+            f"streams hold {int(caps.sum())} bits in total, "
+            f"cannot pick a {key_length}-bit key"
+        )
 
     picks = np.array([math.ceil(key_length * wi) for wi in w], dtype=np.int64)
     while picks.sum() > key_length:
         picks[int(np.argmax(picks))] -= 1
-    if caps is not None:
-        np.minimum(picks, caps, out=picks)
-        while picks.sum() < key_length:
-            headroom = picks < caps
-            masked = np.where(headroom, picks, -1)
-            picks[int(np.argmax(masked))] += 1
-    return Allocation(weights=w, picks=picks, key_length=key_length)
+    np.minimum(picks, caps, out=picks)
+    while picks.sum() < key_length:
+        headroom = picks < caps
+        masked = np.where(headroom, picks, -1)
+        picks[int(np.argmax(masked))] += 1
+    return picks
 
 
-@dataclass(frozen=True)
-class RecombinationPlan:
-    """Deterministic (stream, position) picks shared by both parties."""
-
-    seed: int
-    streams: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.streams, dtype=np.int64)
-        p = np.asarray(self.positions, dtype=np.int64)
-        if s.shape != p.shape:
-            raise ConfigError("streams and positions must have equal length")
-        s.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "streams", s)
-        object.__setattr__(self, "positions", p)
-
-    def __len__(self) -> int:
-        return int(self.streams.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RecombinationPlan):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and np.array_equal(self.streams, other.streams)
-            and np.array_equal(self.positions, other.positions)
-        )
-
-    def __hash__(self):
-        return hash((self.seed, self.streams.tobytes(), self.positions.tobytes()))
-
-
-def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan:
-    """Draw the shared pick positions for one recombination round.
+def plan(seed: int, picks, stream_lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the shared (streams, positions) picks for one recombination round.
 
     One generator seeded by the public seed walks the streams in index
     order and takes the first l_i entries of a permutation of each stream
@@ -284,29 +193,32 @@ def plan(seed: int, allocation: Allocation, stream_lengths) -> RecombinationPlan
     picks of every later stream differ too; the candidates then differ and
     the round's tag catches it, as it catches any other mismatch.
     """
+    picks = np.asarray(picks, dtype=np.int64)
     lengths = np.asarray(stream_lengths, dtype=np.int64)
-    if lengths.shape != allocation.picks.shape:
-        raise ConfigError("stream_lengths must match the allocation")
-    if np.any(allocation.picks > lengths):
-        bad = int(np.flatnonzero(allocation.picks > lengths)[0])
+    if picks.ndim != 1 or lengths.shape != picks.shape:
+        raise ConfigError("picks and stream_lengths must be vectors of equal length")
+    if picks.size and picks.min() < 0:
+        raise ConfigError("picks must be non-negative")
+    if np.any(picks > lengths):
+        bad = int(np.flatnonzero(picks > lengths)[0])
         raise ConfigError(
-            f"stream {bad} provides {lengths[bad]} bits but "
-            f"{allocation.picks[bad]} picks were allocated"
+            f"stream {bad} provides {lengths[bad]} bits but {picks[bad]} picks were allocated"
         )
-    picks = allocation.picks.tolist()
+    counts = picks.tolist()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    positions = [rng.permutation(n)[:k] for n, k in zip(lengths.tolist(), picks) if k]
-    return RecombinationPlan(
-        seed=seed,
-        streams=np.repeat(np.arange(len(picks)), picks),
-        positions=np.concatenate(positions) if positions else np.zeros(0, dtype=np.int64),
+    positions = [rng.permutation(n)[:k] for n, k in zip(lengths.tolist(), counts) if k]
+    return (
+        np.repeat(np.arange(len(counts)), counts),
+        np.concatenate(positions) if positions else np.zeros(0, dtype=np.int64),
     )
 
 
-def recombine(streams, rec_plan: RecombinationPlan) -> BitStream:
-    """Splice the planned picks from this party's streams into one stream."""
+def recombine(streams, rec_plan) -> BitStream:
+    """Splice a ``(streams, positions)`` plan's picks from this party's streams."""
     arrays = [_as_bits(s) for s in streams]
-    picked, pos = rec_plan.streams, rec_plan.positions
+    picked, pos = (np.asarray(a, dtype=np.int64) for a in rec_plan)
+    if picked.shape != pos.shape:
+        raise ConfigError("plan streams and positions must have equal length")
     unknown = (picked < 0) | (picked >= len(arrays))
     if unknown.any():
         raise DesyncError(f"plan references unknown stream {picked[unknown][0]}")

@@ -73,9 +73,7 @@ def test_03_recombination_math():
     for _ in range(1000):
         theta = int(rng.integers(2, 30))
         m = int(rng.integers(1, 31))
-        w = recombine.weights(
-            recombine.DiffDegrees(rng.integers(0, theta, size=m), theta=theta)
-        )
+        w = recombine.weights(rng.integers(0, theta, size=m), theta)
         weight_ok &= abs(float(w.sum()) - 1.0) <= 1e-12
 
     alloc_ok = True
@@ -83,8 +81,9 @@ def test_03_recombination_math():
         m = int(rng.integers(1, 31))
         length = int(rng.integers(1, 513))
         w = rng.dirichlet(np.ones(m))
-        alloc = recombine.allocate(w, length)
-        alloc_ok &= int(alloc.picks.sum()) == length and int(alloc.picks.min()) >= 0
+        # caps of L bits per stream bind no pick
+        picks = recombine.allocate(w, length, np.full(m, length))
+        alloc_ok &= int(picks.sum()) == length and int(picks.min()) >= 0
 
     # Monte-Carlo oracle: draw picks+1 positions uniformly without
     # replacement and demand none land on a mismatched position
@@ -209,6 +208,11 @@ def _recursive_distance(a: str, b: str) -> int:
     return rec(len(a), len(b))
 
 
+def _bits(s: str) -> np.ndarray:
+    """The bits of a '0'/'1' string as a uint8 array."""
+    return np.array([int(c) for c in s], dtype=np.uint8)
+
+
 def _plain_exponential_distance(a: str, b: str) -> int:
     if not a:
         return len(b)
@@ -226,7 +230,7 @@ def test_09_oracle_equivalence():
     for length in range(1, 7):
         strings += [format(v, f"0{length}b") for v in range(2**length)]
     exhaustive_ok = all(
-        recombine.edit_distance(a, b) == _recursive_distance(a, b)
+        recombine.edit_distance(_bits(a), _bits(b)) == _recursive_distance(a, b)
         for a in strings
         for b in strings
     )
@@ -236,7 +240,7 @@ def test_09_oracle_equivalence():
     for _ in range(10_000):
         a = "".join(rng.choice(["0", "1"], size=rng.integers(0, 11)))
         b = "".join(rng.choice(["0", "1"], size=rng.integers(0, 11)))
-        random_ok &= recombine.edit_distance(a, b) == _recursive_distance(a, b)
+        random_ok &= recombine.edit_distance(_bits(a), _bits(b)) == _recursive_distance(a, b)
 
     # the memoized recursion agrees with the plain exponential one
     spot_ok = all(

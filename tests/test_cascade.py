@@ -56,6 +56,10 @@ class TestBasics:
                 BitStream([1, 0, 1]), BitStream([1, 0]), CascadeConfig()
             )
 
+    def test_empty_streams_rejected(self):
+        with pytest.raises(ConfigError, match="empty"):
+            cascade_reconcile(BitStream([]), BitStream([]), CascadeConfig())
+
     def test_message_accounting_matches_transcript(self):
         a, b, _ = random_pair(7, flips=3)
         out = cascade_reconcile(a, b, CascadeConfig(rng_seed=3))

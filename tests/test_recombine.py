@@ -24,8 +24,6 @@ from skece.protocol import (
 )
 from skece.quantizer import BitStream
 from skece.recombine import (
-    Allocation,
-    DiffDegrees,
     allocate,
     decode_diff_vector,
     difference_degree,
@@ -40,7 +38,12 @@ from skece.recombine import (
 from skece.validation import checking_length, make_tag
 
 
-def recursive_edit_distance(a: str, b: str) -> int:
+def bits(s: str) -> np.ndarray:
+    """The bits of a '0'/'1' string as a uint8 array."""
+    return np.array([int(c) for c in s], dtype=np.uint8)
+
+
+def recursive_edit_distance(a, b) -> int:
     """Textbook recursive definition, memoized per pair for tractability."""
 
     @lru_cache(maxsize=None)
@@ -64,7 +67,7 @@ class TestEditDistance:
         [("101", "101", 0), ("1011", "1001", 1), ("", "111", 3), ("10", "01", 2)],
     )
     def test_known_values(self, a, b, d):
-        assert edit_distance(a, b) == d
+        assert edit_distance(bits(a), bits(b)) == d
 
     def test_exhaustive_small_against_recursion(self):
         strings = [""]
@@ -72,14 +75,14 @@ class TestEditDistance:
             strings += [format(v, f"0{length}b") for v in range(2**length)]
         for a in strings:
             for b in strings:
-                assert edit_distance(a, b) == recursive_edit_distance(a, b)
+                assert edit_distance(bits(a), bits(b)) == recursive_edit_distance(a, b)
 
     def test_random_pairs_against_recursion(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
             a = "".join(rng.choice(["0", "1"], size=rng.integers(0, 11)))
             b = "".join(rng.choice(["0", "1"], size=rng.integers(0, 11)))
-            assert edit_distance(a, b) == recursive_edit_distance(a, b)
+            assert edit_distance(bits(a), bits(b)) == recursive_edit_distance(a, b)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(6)
@@ -91,21 +94,26 @@ class TestEditDistance:
         singles = [edit_distance(s, x) for s in streams]
         assert batched.tolist() == singles
 
-    def test_symbols_absent_from_reference_match_nothing(self):
-        assert edit_distance("abc", "xyz") == 3
-        assert edit_distance([7, 1, 9], [1]) == 2
-        assert edit_distance([0.5, 2.0], [2, 3]) == 2
+    @pytest.mark.parametrize(
+        "a,b,d", [("10", "1", 1), ("0", "1", 1), ("01", "1", 1), ("10", "01", 2)]
+    )
+    def test_each_list_element_is_one_symbol(self, a, b, d):
+        got = edit_distance([int(c) for c in a], [int(c) for c in b])
+        assert got == d == recursive_edit_distance(a, b)
 
     @pytest.mark.parametrize(
-        "a,b,d", [("日本", "日", 1), ("é", "e", 1), ("\U0001F600a", "a", 1), ("日本", "本日", 2)]
+        "symbols",
+        [[0, 2, 1], [7], [0.5, 1.0], [-1, 0], np.array([0, 255]), [np.nan], ["0", "1"], "101"],
     )
-    def test_strings_compare_code_points(self, a, b, d):
-        assert edit_distance(a, b) == d
-        assert edit_distance(a, b) == recursive_edit_distance(a, b)
+    def test_rejects_symbols_other_than_bits(self, symbols):
+        with pytest.raises(ConfigError):
+            edit_distance(symbols, [0, 1])
+        with pytest.raises(ConfigError):
+            edit_distances_to_reference([[0, 1], [1]], symbols)
 
     def test_rejects_multidimensional_operands(self):
         with pytest.raises(ConfigError):
-            edit_distance(np.zeros((2, 2)), "1")
+            edit_distance(np.zeros((2, 2)), [1])
         with pytest.raises(ConfigError):
             edit_distances_to_reference([[0, 1]], np.zeros((1, 3)))
 
@@ -113,28 +121,26 @@ class TestEditDistance:
         assert edit_distances_to_reference([], [0, 1]).tolist() == []
 
 
-symbol_strings = st.integers(min_value=2, max_value=5).flatmap(
-    lambda k: st.lists(
-        st.one_of(st.integers(0, 70), st.sampled_from([63, 64, 65])),
-        min_size=1,
-        max_size=8,
-    ).flatmap(
-        lambda lengths: st.tuples(
-            st.tuples(
-                *[st.lists(st.integers(0, k - 1), min_size=n, max_size=n) for n in lengths]
-            ),
-            st.lists(st.integers(0, k), max_size=70),
-        )
+bit_strings = st.lists(
+    st.one_of(st.integers(0, 70), st.sampled_from([63, 64, 65])),
+    min_size=1,
+    max_size=8,
+).flatmap(
+    lambda lengths: st.tuples(
+        st.tuples(*[st.lists(st.integers(0, 1), min_size=n, max_size=n) for n in lengths]),
+        st.lists(st.integers(0, 1), max_size=70),
     )
 )
 
 
 class TestPackedKernel:
     @settings(max_examples=60, deadline=None)
-    @given(case=symbol_strings)
+    @given(case=bit_strings)
     def test_matches_recursive_oracle(self, case):
         streams, x = case
-        got = edit_distances_to_reference([np.array(s, dtype=np.int64) for s in streams], x)
+        got = edit_distances_to_reference(
+            [np.array(s, dtype=np.uint8) for s in streams], np.array(x, dtype=np.uint8)
+        )
         assert got.tolist() == [recursive_edit_distance(tuple(s), tuple(x)) for s in streams]
 
     @pytest.mark.parametrize("x", [np.ones(50), np.zeros(50), np.arange(70) % 3 == 0, []])
@@ -180,9 +186,9 @@ def reference_picks(seed: int, picks, lengths) -> list[tuple[int, int]]:
     return out
 
 
-def reference_candidate(streams, seed: int, allocation) -> np.ndarray:
+def reference_candidate(streams, seed: int, picks) -> np.ndarray:
     lengths = [len(s) for s in streams]
-    picked = reference_picks(seed, allocation.picks.tolist(), lengths)
+    picked = reference_picks(seed, picks.tolist(), lengths)
     return np.array([streams[i].bits[j] for i, j in picked], dtype=np.uint8)
 
 
@@ -209,9 +215,12 @@ def assert_rounds_follow_reference(result, streams_a, streams_b, params):
     ]
     allocations = [
         allocate(
-            weights(difference_degree(edit_distances_to_reference(streams, x), peer, params.theta)),
+            weights(
+                difference_degree(edit_distances_to_reference(streams, x), peer, params.theta),
+                params.theta,
+            ),
             params.key_length,
-            stream_lengths=[len(s) for s in streams],
+            [len(s) for s in streams],
         )
         for streams, peer in ((streams_a, res_b), (streams_b, res_a))
     ]
@@ -276,14 +285,13 @@ class TestGoldenTranscripts:
 
 class TestDifferenceDegree:
     def test_equal_distances_give_zero(self):
-        dd = difference_degree([4, 9, 13], [4, 9, 13], theta=5)
-        assert dd.d_tilde.tolist() == [0, 0, 0]
+        assert difference_degree([4, 9, 13], [4, 9, 13], theta=5).tolist() == [0, 0, 0]
 
     def test_residue_difference(self):
-        assert difference_degree([7], [6], theta=5).d_tilde.tolist() == [1]
+        assert difference_degree([7], [6], theta=5).tolist() == [1]
 
     def test_wraparound_artifact_as_written(self):
-        assert difference_degree([4], [5], theta=5).d_tilde.tolist() == [4]
+        assert difference_degree([4], [5], theta=5).tolist() == [4]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigError):
@@ -292,43 +300,49 @@ class TestDifferenceDegree:
 
 class TestWeights:
     def test_uniform_when_all_degrees_zero(self):
-        w = weights(DiffDegrees(np.zeros(6, dtype=np.int64), theta=5))
+        w = weights(np.zeros(6, dtype=np.int64), theta=5)
         assert np.allclose(w, 1 / 6)
 
     def test_direct_substitution(self):
-        w = weights(DiffDegrees(np.array([0, 4]), theta=5))
+        w = weights([0, 4], theta=5)
         assert w.tolist() == [5 / 6, 1 / 6]
 
     def test_single_stream_normalizes(self):
-        assert weights(DiffDegrees(np.array([3]), theta=5)).tolist() == [1.0]
+        assert weights([3], theta=5).tolist() == [1.0]
 
     def test_sum_to_one_within_tolerance(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             theta = int(rng.integers(2, 20))
             m = int(rng.integers(1, 31))
-            dd = DiffDegrees(rng.integers(0, theta, size=m), theta=theta)
-            assert abs(weights(dd).sum() - 1.0) < 1e-12
+            w = weights(rng.integers(0, theta, size=m), theta)
+            assert abs(w.sum() - 1.0) < 1e-12
 
     def test_more_consistent_streams_get_larger_weight(self):
-        w = weights(DiffDegrees(np.array([0, 1, 2, 3, 4]), theta=5))
+        w = weights([0, 1, 2, 3, 4], theta=5)
         assert all(w[i] > w[i + 1] for i in range(4))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            weights(DiffDegrees(np.zeros(0, dtype=np.int64), theta=5))
+            weights(np.zeros(0, dtype=np.int64), theta=5)
+
+    @pytest.mark.parametrize("d_tilde,theta", [([0, 5], 5), ([-1, 0], 5), ([0], 1)])
+    def test_rejects_degrees_outside_range_and_small_theta(self, d_tilde, theta):
+        with pytest.raises(ConfigError):
+            weights(d_tilde, theta)
 
 
 class TestAllocate:
+    # caps of L streams bind no pick, so these check the ceiling and repair rule
     def test_exact_split(self):
-        assert allocate([0.5, 0.5], 10).picks.tolist() == [5, 5]
+        assert allocate([0.5, 0.5], 10, [10, 10]).tolist() == [5, 5]
 
     def test_ceiling_overshoot_repair_rule(self):
         # raw [4, 4, 4]; decrement largest (ties to the lowest index) twice
-        assert allocate([1 / 3, 1 / 3, 1 / 3], 10).picks.tolist() == [3, 3, 4]
+        assert allocate([1 / 3, 1 / 3, 1 / 3], 10, [10, 10, 10]).tolist() == [3, 3, 4]
 
     def test_no_repair_when_sum_exact(self):
-        assert allocate([5 / 6, 1 / 6], 300).picks.tolist() == [250, 50]
+        assert allocate([5 / 6, 1 / 6], 300, [300, 300]).tolist() == [250, 50]
 
     def test_random_allocations_sum_exactly(self):
         rng = np.random.default_rng(8)
@@ -336,49 +350,57 @@ class TestAllocate:
             m = int(rng.integers(1, 31))
             L = int(rng.integers(1, 513))
             w = rng.dirichlet(np.ones(m))
-            alloc = allocate(w, L)
-            assert int(alloc.picks.sum()) == L
-            assert alloc.picks.min() >= 0
+            picks = allocate(w, L, np.full(m, L))
+            assert int(picks.sum()) == L
+            assert picks.min() >= 0
 
     def test_stream_length_caps_respected(self):
-        alloc = allocate([0.5, 0.5], 10, stream_lengths=[3, 100])
-        assert alloc.picks.tolist() == [3, 7]
-        assert int(alloc.picks.sum()) == 10
+        assert allocate([0.5, 0.5], 10, [3, 100]).tolist() == [3, 7]
 
     def test_insufficient_material(self):
         with pytest.raises(InsufficientBitsError):
-            allocate([0.5, 0.5], 10, stream_lengths=[4, 4])
+            allocate([0.5, 0.5], 10, [4, 4])
+
+    def test_rejects_caps_of_the_wrong_shape(self):
+        with pytest.raises(ConfigError):
+            allocate([0.5, 0.5], 10, [10])
 
 
 class TestPlan:
     def test_full_stream_pick_is_exhaustive(self):
-        alloc = allocate([1.0], 7, stream_lengths=[7])
-        p = plan(3, alloc, [7])
-        assert sorted(p.positions.tolist()) == list(range(7))
+        picks = allocate([1.0], 7, [7])
+        streams, positions = plan(3, picks, [7])
+        assert streams.tolist() == [0] * 7
+        assert sorted(positions.tolist()) == list(range(7))
 
     def test_deterministic_in_seed(self):
-        alloc = allocate([0.3, 0.7], 10, stream_lengths=[20, 20])
-        p1 = plan(99, alloc, [20, 20])
-        p2 = plan(99, alloc, [20, 20])
-        assert p1 == p2
-        assert p1 != plan(100, alloc, [20, 20])
+        picks = allocate([0.3, 0.7], 10, [20, 20])
+        p1 = plan(99, picks, [20, 20])
+        p2 = plan(99, picks, [20, 20])
+        assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+        assert not np.array_equal(p1[1], plan(100, picks, [20, 20])[1])
 
     def test_positions_uniform_without_replacement(self):
         # picking 2 of 4: every position appears with frequency 1/2
-        alloc = allocate([1.0], 2, stream_lengths=[4])
+        picks = allocate([1.0], 2, [4])
         counts = np.zeros(4)
         trials = 4000
         for seed in range(trials):
-            p = plan(seed, alloc, [4])
-            counts[p.positions] += 1
+            _, positions = plan(seed, picks, [4])
+            counts[positions] += 1
         freq = counts / trials
         sigma = (0.5 * 0.5 / trials) ** 0.5
         assert np.all(np.abs(freq - 0.5) < 4.5 * sigma)
 
     def test_rejects_overallocated_stream(self):
-        alloc = allocate([1.0], 5, stream_lengths=[5])
+        picks = allocate([1.0], 5, [5])
         with pytest.raises(ConfigError):
-            plan(0, alloc, [4])
+            plan(0, picks, [4])
+
+    @pytest.mark.parametrize("picks,lengths", [([-1, 2], [5, 5]), ([[1]], [[5]]), ([1], [5, 5])])
+    def test_rejects_malformed_picks(self, picks, lengths):
+        with pytest.raises(ConfigError):
+            plan(0, picks, lengths)
 
     def test_matches_the_reference_picks(self):
         rng = np.random.default_rng(13)
@@ -386,19 +408,18 @@ class TestPlan:
             lengths = rng.integers(0, 40, size=int(rng.integers(1, 8)))
             lengths[-1] += 1
             key_length = int(rng.integers(1, lengths.sum() + 1))
-            alloc = allocate(rng.dirichlet(np.ones(lengths.size)), key_length, lengths)
-            p = plan(seed, alloc, lengths)
-            picked = reference_picks(seed, alloc.picks.tolist(), lengths)
-            assert list(zip(p.streams.tolist(), p.positions.tolist())) == picked
+            picks = allocate(rng.dirichlet(np.ones(lengths.size)), key_length, lengths)
+            streams, positions = plan(seed, picks, lengths)
+            picked = reference_picks(seed, picks.tolist(), lengths)
+            assert list(zip(streams.tolist(), positions.tolist())) == picked
 
     def test_picks_in_one_stream_do_not_depend_on_another(self):
         # one pick from each of two streams: all 3 x 4 position pairs equally often
-        alloc = Allocation(weights=[0.5, 0.5], picks=[1, 1], key_length=2)
         counts = np.zeros((3, 4))
         trials = 4000
         for seed in range(trials):
-            p = plan(seed, alloc, [3, 4])
-            counts[tuple(p.positions)] += 1
+            _, positions = plan(seed, [1, 1], [3, 4])
+            counts[tuple(positions)] += 1
         freq = counts / trials
         sigma = (1 / 12 * 11 / 12 / trials) ** 0.5
         assert np.all(np.abs(freq - 1 / 12) < 4.5 * sigma)
@@ -412,8 +433,7 @@ class TestRecombine:
             for i in range(4)
         ]
         streams_b = [BitStream(s.bits, party="bob", stream=s.stream) for s in streams_a]
-        alloc = allocate(np.full(4, 0.25), 20, stream_lengths=[30] * 4)
-        p = plan(17, alloc, [30] * 4)
+        p = plan(17, allocate(np.full(4, 0.25), 20, [30] * 4), [30] * 4)
         out_a = recombine(streams_a, p)
         out_b = recombine(streams_b, p)
         assert np.array_equal(out_a.bits, out_b.bits)
@@ -421,10 +441,9 @@ class TestRecombine:
 
     def test_identity_plan_reproduces_stream(self):
         bits = BitStream([1, 0, 1, 1, 0], party="alice", stream=0)
-        alloc = allocate([1.0], 5, stream_lengths=[5])
-        p = plan(1, alloc, [5])
+        p = plan(1, allocate([1.0], 5, [5]), [5])
         out = recombine([bits], p)
-        assert sorted(zip(p.positions.tolist(), out.bits.tolist())) == list(
+        assert sorted(zip(p[1].tolist(), out.bits.tolist())) == list(
             enumerate(bits.bits.tolist())
         )
 
@@ -435,26 +454,20 @@ class TestRecombine:
         bad = [3, 17, 29]
         b[bad] ^= 1
         good = np.array([i for i in range(40) if i not in bad])
-        from skece.recombine import RecombinationPlan
-
-        p = RecombinationPlan(
-            seed=0, streams=np.zeros(good.size, dtype=np.int64), positions=good
-        )
+        p = (np.zeros(good.size, dtype=np.int64), good)
         assert np.array_equal(recombine([BitStream(a)], p).bits, recombine([BitStream(b)], p).bits)
 
     def test_out_of_range_position_is_desync(self):
-        from skece.recombine import RecombinationPlan
-
-        p = RecombinationPlan(seed=0, streams=np.array([0]), positions=np.array([9]))
         with pytest.raises(DesyncError):
-            recombine([BitStream([1, 0])], p)
-        p = RecombinationPlan(seed=0, streams=np.array([1]), positions=np.array([0]))
+            recombine([BitStream([1, 0])], ([0], [9]))
         with pytest.raises(DesyncError, match="unknown stream 1"):
-            recombine([BitStream([1, 0])], p)
+            recombine([BitStream([1, 0])], ([1], [0]))
+
+    def test_rejects_plan_arrays_of_unequal_length(self):
+        with pytest.raises(ConfigError):
+            recombine([BitStream([1, 0])], ([0, 0], [1]))
 
     def test_matches_a_per_pick_loop(self):
-        from skece.recombine import RecombinationPlan
-
         rng = np.random.default_rng(11)
         for _ in range(50):
             lengths = rng.integers(0, 20, size=int(rng.integers(1, 6)))
@@ -462,9 +475,8 @@ class TestRecombine:
             streams = [rng.integers(0, 2, n, dtype=np.uint8) for n in lengths]
             picked = rng.choice(np.flatnonzero(lengths), size=int(rng.integers(1, 30)))
             pos = rng.integers(0, lengths[picked])
-            p = RecombinationPlan(seed=0, streams=picked, positions=pos)
             expected = [streams[i][j] for i, j in zip(picked, pos)]
-            assert recombine(streams, p).bits.tolist() == expected
+            assert recombine(streams, (picked, pos)).bits.tolist() == expected
 
 
 class TestSuccessProbability:
@@ -499,11 +511,10 @@ class TestSuccessProbability:
             b = s.bits.copy()
             b[rng.choice(L, size=di, replace=False)] ^= 1
             streams_b.append(BitStream(b))
-        alloc = Allocation(weights=np.divide(l, sum(l)), picks=l, key_length=sum(l))
         trials = 3000
         equal = 0
         for seed in range(trials):
-            p = plan(seed, alloc, [L] * len(d))
+            p = plan(seed, l, [L] * len(d))
             equal += np.array_equal(recombine(streams_a, p).bits, recombine(streams_b, p).bits)
         freq = equal / trials
         exact = float(np.prod([comb(L - di, li) / comb(L, li) for di, li in zip(d, l)]))
