@@ -71,9 +71,7 @@ def load_scenario(name_or_path: str) -> Scenario:
 
 def keep_rate_estimate(alpha: float) -> float:
     """Fraction of samples outside a +/- alpha*sigma band under normality."""
-    from scipy.special import erfc
-
-    return float(erfc(alpha / math.sqrt(2.0)))
+    return math.erfc(alpha / math.sqrt(2.0))
 
 
 def probes_for_bits(alpha: float, m: int, target_bits: int) -> int:

@@ -562,6 +562,23 @@ def transcript_to_jsonl(transcript) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _bit_windows(packed: np.ndarray, nbits: int, window: int) -> np.ndarray:
+    """Every ``window``-bit substring of the first ``nbits`` bits of ``packed``, as integers.
+
+    Each byte offset reads the bytes that any window starting in that byte
+    spans into one big-endian word; the eight windows starting there are
+    eight shifts of that word.
+    """
+    nbytes = (window + 14) // 8
+    padded = np.concatenate([packed, np.zeros(nbytes - 1, dtype=np.uint8)]).astype(np.uint64)
+    words = np.zeros(packed.size, dtype=np.uint64)
+    for j in range(nbytes):
+        words = (words << np.uint64(8)) | padded[j : j + packed.size]
+    shifts = np.arange(8 * nbytes - window, 8 * nbytes - window - 8, -1).astype(np.uint64)
+    windows = (words[:, None] >> shifts) & np.uint64((1 << window) - 1)
+    return windows.ravel()[: nbits - window + 1]
+
+
 def scan_transcript_for_key(transcript, key_bits, window: int = 32) -> int:
     """Count key-substring sightings of ``window`` bits in wire payloads.
 
@@ -571,22 +588,18 @@ def scan_transcript_for_key(transcript, key_bits, window: int = 32) -> int:
     zero; anything consistently above that betrays key leakage.
     """
     key = quantizer._as_bits(key_bits)
+    # a window and its offset within a byte must fit one 64-bit word
+    if not 1 <= window <= 57:
+        raise ConfigError(f"window must lie in [1, 57], got {window}")
     if key.size < window:
         return 0
-    powers = (1 << np.arange(window - 1, -1, -1)).astype(np.uint64)
-    key_windows = np.unique(
-        np.lib.stride_tricks.sliding_window_view(key, window).astype(np.uint64) @ powers
-    )
+    key_windows = np.unique(_bit_windows(np.packbits(key), key.size, window))
     hits = 0
     for msg in transcript:
-        if not msg.payload:
+        nbits = 8 * len(msg.payload)
+        if nbits < window:
             continue
-        bits = np.unpackbits(np.frombuffer(msg.payload, dtype=np.uint8))
-        if bits.size < window:
-            continue
-        vals = (
-            np.lib.stride_tricks.sliding_window_view(bits, window).astype(np.uint64)
-            @ powers
-        )
-        hits += int(np.isin(vals, key_windows).sum())
+        vals = _bit_windows(np.frombuffer(msg.payload, dtype=np.uint8), nbits, window)
+        at = np.minimum(np.searchsorted(key_windows, vals), key_windows.size - 1)
+        hits += int(np.count_nonzero(key_windows[at] == vals))
     return hits

@@ -4,7 +4,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.special import erfc, gammaincc
 
 from skece import experiments
 from skece.analysis import (
@@ -12,6 +11,7 @@ from skece.analysis import (
     TestReport,
     _longest_runs_of_ones,
     _spectral_p_value,
+    _upper_gamma_q,
     nist_approx_entropy,
     nist_fft,
     nist_frequency,
@@ -49,6 +49,35 @@ def prng_bits(n, seed=0):
 @lru_cache(maxsize=None)
 def preset_key_material(preset: str) -> np.ndarray:
     return experiments.key_material(experiments.load_scenario(preset), seed=11).bits
+
+
+class TestClosedForms:
+    def test_match_scipy_special(self):
+        # scipy is a test oracle only; the library computes p-values without it
+        from scipy.special import erfc, gammaincc
+
+        xs = np.linspace(0.0, 700.0, 7001)
+        for a in (1, 1.5, 2, 2.5, 3, 4, 8, 64):
+            q = np.array([_upper_gamma_q(a, x) for x in xs.tolist()])
+            assert np.max(np.abs(q - gammaincc(a, xs))) <= 1e-12, a
+        xs = np.linspace(0.0, 30.0, 3001)
+        e = np.array([math.erfc(x) for x in xs.tolist()])
+        assert np.max(np.abs(e - erfc(xs))) <= 1e-15
+
+    def test_large_a_neither_overflows_nor_underflows(self):
+        # approximate entropy at block length 11 asks for a = 1024
+        assert _upper_gamma_q(1024, 1024.0) == pytest.approx(0.49584432874913453, abs=1e-12)
+        assert _upper_gamma_q(1024, 1e5) == 0.0
+        assert _upper_gamma_q(1024, 10.0) == 1.0
+
+    @pytest.mark.parametrize("a", [1.25, 0, -1, 0.3])
+    def test_other_a_raises(self, a):
+        with pytest.raises(ConfigError):
+            _upper_gamma_q(a, 1.0)
+
+    def test_negative_x_raises(self):
+        with pytest.raises(ConfigError):
+            _upper_gamma_q(2, -1.0)
 
 
 class TestPearson:
@@ -128,7 +157,7 @@ def loop_longest_run_report(bits) -> tuple[float, float]:
         counts[min(max(run - first, 0), k)] += 1
     expected = nblocks * np.asarray(probs)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return chi2, float(gammaincc(k / 2.0, chi2 / 2.0))
+    return chi2, _upper_gamma_q(k / 2.0, chi2 / 2.0)
 
 
 class TestLongestRun:
@@ -201,7 +230,7 @@ class TestSpectral:
         moduli = np.abs(np.fft.fft(2.0 * bits.astype(np.float64) - 1.0))[: n // 2]
         n1 = np.count_nonzero(moduli < math.sqrt(math.log(1.0 / 0.05) * n))
         d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-        assert _spectral_p_value(bits) == (d, erfc(abs(d) / math.sqrt(2.0)))
+        assert _spectral_p_value(bits) == (d, math.erfc(abs(d) / math.sqrt(2.0)))
 
 
 class TestApproxEntropy:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from skece import channel, experiments
+from skece import channel, cli, experiments
 from skece.errors import ConfigError
 
 
@@ -89,6 +91,38 @@ class TestOverheadComparison:
         a = experiments.overhead_comparison(trials=5, base_seed=4)
         b = experiments.overhead_comparison(trials=5, base_seed=4)
         assert a == b
+
+
+# Probe counts at every preset alpha and every default sweep alpha, as the
+# normal-model keep rate sized them when it came from scipy's erfc. Each is a
+# ceil of a real number, so an erfc one ulp off could move a count, and with
+# it every key drawn from that many probes; the counts must not move.
+PROBES_FOR_10K_BITS_AT_M30 = {0.0: 450, 0.2: 535, 0.4: 653, 0.7: 930, 1.0: 1419}
+EVE_PROBES_FOR_10K_BITS = {0.0: 13000, 0.2: 15449, 0.4: 18864, 0.7: 26864, 1.0: 40970}
+
+
+class TestProbeCounts:
+    def test_pinned_alphas_cover_presets_and_defaults(self):
+        alphas = {experiments.load_scenario(name).alpha for name in (*experiments.PRESET_NAMES, "attack")}
+        assert alphas | set(cli.DEFAULT_ALPHAS) <= set(PROBES_FOR_10K_BITS_AT_M30)
+
+    @pytest.mark.parametrize("alpha", sorted(PROBES_FOR_10K_BITS_AT_M30))
+    def test_probes_for_bits(self, alpha):
+        assert experiments.probes_for_bits(alpha, 30, 10_000) == PROBES_FOR_10K_BITS_AT_M30[alpha]
+
+    @pytest.mark.parametrize("alpha", sorted(EVE_PROBES_FOR_10K_BITS))
+    def test_eve_independence_probes(self, alpha, monkeypatch):
+        class Sized(Exception):
+            pass
+
+        def simulate(cfg):
+            raise Sized(cfg.probe_count)
+
+        monkeypatch.setattr(experiments.channel, "simulate", simulate)
+        scenario = replace(experiments.load_scenario("C"), alpha=alpha)
+        with pytest.raises(Sized) as sized:
+            experiments.eve_independence(scenario, seed=0)
+        assert sized.value.args == (EVE_PROBES_FOR_10K_BITS[alpha],)
 
 
 class TestKeyMaterial:

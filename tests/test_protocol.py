@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skece import protocol
+from skece import experiments, protocol
 from skece.channel import ScenarioConfig, simulate
 from skece import quantizer
 from skece.errors import (
@@ -653,7 +653,78 @@ class TestDecoderFuzz:
             returns_or_raises_typed(lambda p: run_key_agreement(TRACES, p), PARAMS)
 
 
+def reference_scan(transcript, key_bits, window: int = 32) -> int:
+    """The unpacked sliding-window scan the packed-word scan replaced, kept as its reference."""
+    key = quantizer._as_bits(key_bits)
+    if key.size < window:
+        return 0
+    powers = (1 << np.arange(window - 1, -1, -1)).astype(np.uint64)
+    key_windows = np.unique(
+        np.lib.stride_tricks.sliding_window_view(key, window).astype(np.uint64) @ powers
+    )
+    hits = 0
+    for msg in transcript:
+        if not msg.payload:
+            continue
+        bits = np.unpackbits(np.frombuffer(msg.payload, dtype=np.uint8))
+        if bits.size < window:
+            continue
+        vals = (
+            np.lib.stride_tricks.sliding_window_view(bits, window).astype(np.uint64)
+            @ powers
+        )
+        hits += int(np.isin(vals, key_windows).sum())
+    return hits
+
+
+def scanned_sessions():
+    """40 preset-C transcripts with their keys; the odd ones carry the key at a random bit offset."""
+    scenario = experiments.load_scenario("C")
+    for k in range(40):
+        traces = simulate(scenario.with_seed(1000 + k).config)
+        params = ProtocolParams(alpha=scenario.alpha, key_length=128, rng_seed=k)
+        result, _ = run_key_agreement(traces, params)
+        messages = list(result.messages)
+        if k % 2:
+            rng = np.random.default_rng(k)
+            i = max(range(len(messages)), key=lambda j: len(messages[j].payload))
+            bits = np.unpackbits(np.frombuffer(messages[i].payload, dtype=np.uint8))
+            at = int(rng.integers(0, bits.size - len(result.key)))
+            bits[at : at + len(result.key)] = result.key.bits
+            messages[i] = replace(messages[i], payload=np.packbits(bits).tobytes())
+        yield messages, result.key
+
+
 class TestTranscriptHygiene:
+    def test_packed_scan_counts_what_the_reference_counts(self):
+        counts = []
+        for messages, key in scanned_sessions():
+            counts.append(scan_transcript_for_key(messages, key))
+            assert counts[-1] == reference_scan(messages, key)
+        assert all(c == 0 for c in counts[::2])
+        assert all(c >= 128 - 31 for c in counts[1::2])
+
+    @pytest.mark.parametrize("window", [1, 7, 8, 9, 31, 33, 56, 57])
+    def test_packed_scan_at_every_window_width(self, window):
+        rng = np.random.default_rng(window)
+        key = rng.integers(0, 2, 80, dtype=np.uint8)
+        bits = rng.integers(0, 2, 8 * 37, dtype=np.uint8)
+        bits[13 : 13 + 80] = key
+        transcript = [
+            ProtocolMessage(MsgType.TAGS, np.packbits(bits).tobytes(), A_TO_B),
+            ProtocolMessage(MsgType.TAGS, b"", B_TO_A),
+            ProtocolMessage(MsgType.TAGS, rng.bytes(window // 8), B_TO_A),
+            ProtocolMessage(MsgType.TAGS, rng.bytes(9), B_TO_A),
+        ]
+        hits = scan_transcript_for_key(transcript, key, window=window)
+        assert hits == reference_scan(transcript, key, window=window)
+        assert hits >= 81 - window
+
+    @pytest.mark.parametrize("window", [0, 58])
+    def test_scan_window_out_of_range(self, window):
+        with pytest.raises(ConfigError):
+            scan_transcript_for_key([], np.ones(64, dtype=np.uint8), window=window)
+
     def test_scanner_detects_planted_key_bits(self):
         rng = np.random.default_rng(20)
         key = BitStream(rng.integers(0, 2, 64, dtype=np.uint8))
