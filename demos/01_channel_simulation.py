@@ -14,7 +14,7 @@ scenario = experiments.load_scenario("C").with_seed(1)
 traces = channel.simulate(scenario.config)
 print(f"scenario {scenario.name}: {scenario.description}")
 print(f"m={traces.m} subcarriers, n={traces.n} probes, "
-      f"half-duplex offset {scenario.config.half_duplex_offset * 1e3:.0f} ms\n")
+      f"half-duplex offset {channel.HALF_DUPLEX_OFFSET * 1e3:.0f} ms\n")
 
 print("per-subcarrier Pearson correlation of amplitude readings")
 print(f"{'subcarrier':>10} {'alice~bob':>10} {'alice~eve':>10}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,14 @@ _HEADER_LINE = ",".join(TRACE_HEADER)
 _ROW_DTYPE = np.dtype(
     [("time", "f8"), ("subcarrier", "i8"), ("amplitude_db", "f8"), ("phase_rad", "f8")]
 )
+
+# one probe exchange every PROBE_INTERVAL s; Bob reads HALF_DUPLEX_OFFSET s
+# after Alice, within the same exchange
+PROBE_INTERVAL = 0.1
+HALF_DUPLEX_OFFSET = 0.003
+DRIFT_CORR = 0.99  # lag-one correlation of the shared drift, per probe step
+BASE_AMPLITUDE_DB = 20.0
+ATTACK_DEPTH = 4.0  # dB of attenuation while the line of sight is blocked
 
 MOBILITY_PROCESS_STD = {"static": 2.0, "mobile": 5.0}
 # kept small relative to the per-subcarrier variation so the shared drift
@@ -153,11 +162,9 @@ class _LateDraws:
     the order, thread or pickled copy that reads them.
     """
 
-    def __init__(
-        self, rng_state: dict, latent_eve: np.ndarray, noise_std: float, shift: int, steps: int
-    ):
+    def __init__(self, rng_state: dict, latent_eve: np.ndarray, noise_std: float):
         self.shape = latent_eve.shape
-        self._inputs = (rng_state, latent_eve, noise_std, shift, steps)
+        self._inputs = (rng_state, latent_eve, noise_std)
         self._arrays = None
         self._lock = threading.Lock()
 
@@ -169,18 +176,17 @@ class _LateDraws:
                 self._inputs = None
         return self._arrays[party, name]
 
-    def _draw(self, rng_state, latent_eve, noise_std, shift, steps) -> dict:
+    def _draw(self, rng_state, latent_eve, noise_std) -> dict:
         rng = np.random.default_rng()
         rng.bit_generator.state = rng_state
         m, n = self.shape
         noise_eve = rng.normal(0.0, noise_std, size=(m, n)) if noise_std else np.zeros((m, n))
-        phase_link = _phase_walk(rng, (m, steps))
-        phase_eve = _phase_walk(rng, (m, steps))
+        phase_link = _phase_walk(rng, (m, n))
         arrays = {
-            ("alice", "phase_rad"): phase_link[:, :n],
-            ("bob", "phase_rad"): phase_link[:, shift : shift + n],
+            ("alice", "phase_rad"): phase_link,
+            ("bob", "phase_rad"): phase_link,
             ("eve", "amplitude_db"): latent_eve + noise_eve,
-            ("eve", "phase_rad"): phase_eve[:, :n],
+            ("eve", "phase_rad"): _phase_walk(rng, (m, n)),
         }
         for arr in arrays.values():
             if arr.shape != self.shape:
@@ -211,56 +217,47 @@ class ScenarioConfig:
     """Simulator parameters; presets A-F are bundled instances of this.
 
     ``mobility`` selects the default AR(1) innovation scale per probe step;
-    ``process_std``, ``process_corr`` and the drift fields override it for
-    tuning. ``eve_correlation`` mixes Eve's otherwise independent process
-    with the link process. ``attack_period`` enables the periodic
-    line-of-sight blocking wave.
+    ``process_std`` and ``drift_std`` override it. ``eve_correlation``
+    mixes Eve's otherwise independent process with the link process.
+    ``attack_period`` enables the periodic line-of-sight blocking wave.
+    The probe timing, drift correlation, base amplitude and attack depth
+    are the module constants.
     """
 
-    preset: str = "custom"
     m: int = 30
     probe_count: int = 300
-    probe_interval: float = 0.1
-    half_duplex_offset: float = 0.003
     mobility: str = "mobile"
     noise_std: float = 0.3
     eve_correlation: float = 0.0
     attack_period: float | None = None
     rng_seed: int = 0
     process_std: float | None = None
-    process_corr: float = 0.0
     drift_std: float | None = None
-    drift_corr: float = 0.99
-    attack_depth: float = 4.0
-    base_amplitude_db: float = 20.0
 
     def __post_init__(self):
+        # each check is written so that a NaN, which compares false, fails it
+        for name in ("m", "probe_count", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.probe_count < 1:
             raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
-        if self.probe_interval <= 0:
-            raise ConfigError("probe_interval must be positive")
-        if self.half_duplex_offset < 0:
-            raise ConfigError("half_duplex_offset must be >= 0")
         if self.mobility not in MOBILITY_PROCESS_STD:
             raise ConfigError(f"mobility must be static or mobile, got {self.mobility!r}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ConfigError("noise_std must be >= 0")
-        if abs(self.eve_correlation) > 1:
+        if not abs(self.eve_correlation) <= 1:
             raise ConfigError("eve_correlation must lie in [-1, 1]")
-        if self.attack_period is not None and self.attack_period <= 0:
+        if self.attack_period is not None and not self.attack_period > 0:
             raise ConfigError("attack_period must be positive when set")
         if not 0 <= self.rng_seed < 2**64:
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
-        if self.process_std is not None and self.process_std < 0:
+        if self.process_std is not None and not self.process_std >= 0:
             raise ConfigError("process_std must be >= 0")
-        if not 0 <= self.process_corr < 1:
-            raise ConfigError("process_corr must lie in [0, 1)")
-        if self.drift_std is not None and self.drift_std < 0:
+        if self.drift_std is not None and not self.drift_std >= 0:
             raise ConfigError("drift_std must be >= 0")
-        if not 0 <= self.drift_corr < 1:
-            raise ConfigError("drift_corr must lie in [0, 1)")
 
     @property
     def effective_process_std(self) -> float:
@@ -288,7 +285,7 @@ class PairedTraceSet:
         shapes = {(t.m, t.n) for t in (self.alice, self.bob, self.eve)}
         if len(shapes) != 1:
             raise ConfigError(f"traces disagree on (m, n): {sorted(shapes)}")
-        expected = self.alice.times + self.config.half_duplex_offset
+        expected = self.alice.times + HALF_DUPLEX_OFFSET
         if not np.array_equal(self.bob.times, expected):
             raise ConfigError(
                 "Bob's timestamps must equal Alice's plus the half-duplex offset"
@@ -354,8 +351,8 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
 
     The latent per-subcarrier process is stepped once per probe exchange, so
     both directions of one exchange observe the same channel state; the
-    half-duplex offset shifts Bob's timestamps and, when it reaches a whole
-    probe interval, the step he samples.
+    half-duplex offset shifts only Bob's timestamps, and with them the
+    attack wave he sees.
 
     Only Alice's and Bob's amplitudes, which the quantizer reads, are drawn
     here. Eve's noise and the phase walks come last in the generator stream
@@ -366,13 +363,12 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     m, n = config.m, config.probe_count
-    shift = int(config.half_duplex_offset // config.probe_interval)
-    steps = n + shift
 
-    drift_link = _ar1(rng, (steps,), config.effective_drift_std, config.drift_corr)
-    drift_eve_own = _ar1(rng, (steps,), config.effective_drift_std, config.drift_corr)
-    proc_link = _ar1(rng, (m, steps), config.effective_process_std, config.process_corr)
-    proc_eve_own = _ar1(rng, (m, steps), config.effective_process_std, config.process_corr)
+    drift_link = _ar1(rng, (n,), config.effective_drift_std, DRIFT_CORR)
+    drift_eve_own = _ar1(rng, (n,), config.effective_drift_std, DRIFT_CORR)
+    # the link process is iid from one probe exchange to the next
+    proc_link = _ar1(rng, (m, n), config.effective_process_std, 0.0)
+    proc_eve_own = _ar1(rng, (m, n), config.effective_process_std, 0.0)
     noise_alice = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
     noise_bob = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
 
@@ -381,26 +377,18 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     proc_eve = rho * proc_link + mix * proc_eve_own
     drift_eve = rho * drift_link + mix * drift_eve_own
 
-    times_alice = np.arange(n, dtype=np.float64) * config.probe_interval
-    times_bob = times_alice + config.half_duplex_offset
+    times_alice = np.arange(n, dtype=np.float64) * PROBE_INTERVAL
+    times_bob = times_alice + HALF_DUPLEX_OFFSET
 
-    latent_alice = config.base_amplitude_db + drift_link[:n] + proc_link[:, :n]
-    latent_bob = (
-        config.base_amplitude_db
-        + drift_link[shift : shift + n]
-        + proc_link[:, shift : shift + n]
-    )
-    latent_eve = config.base_amplitude_db + drift_eve[:n] + proc_eve[:, :n]
+    latent_link = BASE_AMPLITUDE_DB + drift_link + proc_link
+    latent_alice = latent_bob = latent_link
+    latent_eve = BASE_AMPLITUDE_DB + drift_eve + proc_eve
 
     if config.attack_period is not None:
-        latent_alice = latent_alice + _attack_wave(
-            times_alice, config.attack_period, config.attack_depth
-        )
-        latent_bob = latent_bob + _attack_wave(
-            times_bob, config.attack_period, config.attack_depth
-        )
+        latent_alice = latent_link + _attack_wave(times_alice, config.attack_period, ATTACK_DEPTH)
+        latent_bob = latent_link + _attack_wave(times_bob, config.attack_period, ATTACK_DEPTH)
 
-    late = _LateDraws(rng.bit_generator.state, latent_eve, config.noise_std, shift, steps)
+    late = _LateDraws(rng.bit_generator.state, latent_eve, config.noise_std)
     alice = CsiTrace("alice", times_alice, latent_alice + noise_alice, late)
     bob = CsiTrace("bob", times_bob, latent_bob + noise_bob, late)
     eve = CsiTrace("eve", times_alice, late, late)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +19,11 @@ from .errors import ConfigError, InsufficientBitsError
 from .quantizer import BitStream
 
 PRESET_NAMES = ("A", "B", "C", "D", "E", "F")
+
+# simulate peaks at about nine float64 (m, n) matrices: 2 GB for a million
+# probes at m = 30, beyond a desk-scale run. The presets and default alphas
+# ask for at most 40,970 (eve_independence at alpha 1).
+MAX_PROBES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,24 +36,25 @@ class Scenario:
     config: channel.ScenarioConfig
 
     def with_seed(self, rng_seed: int) -> "Scenario":
-        return Scenario(
-            name=self.name,
-            description=self.description,
-            alpha=self.alpha,
-            config=replace(self.config, rng_seed=rng_seed),
-        )
+        return replace(self, config=replace(self.config, rng_seed=rng_seed))
 
 
 def _scenario_from_dict(data: dict, fallback_name: str) -> Scenario:
+    config = data.get("config") if isinstance(data, dict) else None
+    if not isinstance(config, dict):
+        raise ConfigError("malformed scenario definition: no 'config' object")
+    unknown = sorted(set(config) - {f.name for f in fields(channel.ScenarioConfig)})
+    if unknown:
+        raise ConfigError(f"malformed scenario definition: unknown field {', '.join(unknown)}")
     try:
-        cfg = channel.ScenarioConfig(**data["config"])
+        cfg = channel.ScenarioConfig(**config)
         return Scenario(
             name=data.get("name", fallback_name),
             description=data.get("description", ""),
             alpha=float(data.get("alpha", 0.4)),
             config=cfg,
         )
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario definition: {exc}") from exc
 
 
@@ -65,7 +71,10 @@ def load_scenario(name_or_path: str) -> Scenario:
             f"scenario {name_or_path!r} is neither a bundled preset "
             f"({', '.join(PRESET_NAMES)}, attack) nor an existing file"
         )
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"scenario file {name_or_path!r} is not JSON: {exc}") from None
     return _scenario_from_dict(data, path.stem)
 
 
@@ -74,13 +83,22 @@ def keep_rate_estimate(alpha: float) -> float:
     return math.erfc(alpha / math.sqrt(2.0))
 
 
+def _probe_count(bits: float, keep: float, alpha: float) -> int:
+    """``ceil(bits / keep)``: the probes that keep ``bits`` samples at rate ``keep``."""
+    if bits > MAX_PROBES * keep:
+        raise ConfigError(
+            f"alpha {alpha} keeps a share {keep:.3g} of the samples, so the requested "
+            f"bits need more than {MAX_PROBES} probes"
+        )
+    return math.ceil(bits / keep)
+
+
 def probes_for_bits(alpha: float, m: int, target_bits: int) -> int:
     """Probe count that yields at least ``target_bits`` kept bits overall.
 
     Sized 35% above the normal-model keep rate, since the kept share varies.
     """
-    rate = max(keep_rate_estimate(alpha), 1e-6)
-    return max(2, math.ceil(target_bits * 1.35 / (m * rate)))
+    return max(2, _probe_count(target_bits * 1.35, m * keep_rate_estimate(alpha), alpha))
 
 
 def extract_party_streams(traces: channel.PairedTraceSet, alpha: float):
@@ -277,7 +295,7 @@ def attack_experiment(seed: int = 0, probes: int = 2048) -> dict:
         quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db, scenario.alpha)
         quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, scenario.alpha)
         keep = quantizer.keep_mask(quant_a.inside, quant_b.inside, quant_a.inside.shape)
-        lag = max(1, round(cfg.attack_period / cfg.probe_interval))
+        lag = max(1, round(cfg.attack_period / channel.PROBE_INTERVAL))
         # Alice's bits on probe indices: +1/-1 where kept, 0 where dropped
         waves = list(np.where(keep, np.where(quant_a.ones, 1.0, -1.0), 0.0))
         scores = [analysis.periodicity_score(wave, lag) for wave in waves]
@@ -306,8 +324,7 @@ def eve_independence(
     Eve's guesses read only the two DROP_LIST frames, so the session stops
     after that exchange; its streams for Alice are the reference.
     """
-    rate = keep_rate_estimate(scenario.alpha)
-    n = math.ceil(bits_per_stream * 1.3 / rate)
+    n = _probe_count(bits_per_stream * 1.3, keep_rate_estimate(scenario.alpha), scenario.alpha)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
     traces = channel.simulate(cfg)
     params = protocol.ProtocolParams(alpha=scenario.alpha, key_length=bits_per_stream)
@@ -317,8 +334,6 @@ def eve_independence(
         transcript=list(link.transcript),
         trace=traces.eve,
         alpha=params.alpha,
-        gamma=params.gamma,
-        theta=params.theta,
         key_length=params.key_length,
     )
     return protocol.eve_attempt(eve_view, reference_streams=streams_a).correlations

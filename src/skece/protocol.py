@@ -211,8 +211,6 @@ class EveView:
     transcript: list
     trace: CsiTrace | None
     alpha: float
-    gamma: float
-    theta: int
     key_length: int
 
 
@@ -502,8 +500,6 @@ def run_key_agreement(
         transcript=list(link.transcript),
         trace=traces.eve,
         alpha=params.alpha,
-        gamma=params.gamma,
-        theta=params.theta,
         key_length=params.key_length,
     )
     return outcome, eve_view

@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from skece.analysis import pearson
 from skece.channel import (
+    ATTACK_DEPTH,
+    BASE_AMPLITUDE_DB,
+    HALF_DUPLEX_OFFSET,
+    PROBE_INTERVAL,
     TRACE_HEADER,
     CsiTrace,
     _ar1,
@@ -84,18 +88,14 @@ class TestWrapPhase:
 
 
 class TestSimulate:
-    def test_noiseless_reciprocity(self):
-        traces = simulate(small_config(noise_std=0.0, half_duplex_offset=0.0))
-        assert np.array_equal(traces.alice.amplitude_db, traces.bob.amplitude_db)
-
     def test_noiseless_reciprocity_with_small_offset(self):
         # the latent state is held during one probe exchange, so a few ms of
         # skew alone does not break value equality
-        traces = simulate(small_config(noise_std=0.0, half_duplex_offset=0.003))
+        traces = simulate(small_config(noise_std=0.0))
         assert np.array_equal(traces.alice.amplitude_db, traces.bob.amplitude_db)
-        assert np.array_equal(
-            traces.bob.times, traces.alice.times + 0.003
-        )
+        assert np.array_equal(traces.alice.times, np.arange(60) * PROBE_INTERVAL)
+        assert np.array_equal(traces.bob.times, traces.alice.times + HALF_DUPLEX_OFFSET)
+        assert HALF_DUPLEX_OFFSET < PROBE_INTERVAL
 
     def test_determinism(self):
         cfg = small_config(noise_std=0.4)
@@ -135,7 +135,6 @@ class TestSimulate:
         cfg = small_config(
             probe_count=400,
             attack_period=2.0,
-            attack_depth=4.0,
             noise_std=0.0,
             process_std=0.0,
             drift_std=0.0,
@@ -143,8 +142,8 @@ class TestSimulate:
         traces = simulate(cfg)
         blocked = np.mod(traces.alice.times, 2.0) < 1.0
         amp = traces.alice.amplitude_db[0]
-        assert np.allclose(amp[blocked], cfg.base_amplitude_db - 4.0)
-        assert np.allclose(amp[~blocked], cfg.base_amplitude_db)
+        assert np.allclose(amp[blocked], BASE_AMPLITUDE_DB - ATTACK_DEPTH)
+        assert np.allclose(amp[~blocked], BASE_AMPLITUDE_DB)
 
     def test_rss_emulation_is_single_stream(self):
         cfg = rss_emulation(small_config())
@@ -159,9 +158,13 @@ class TestSimulate:
             dict(probe_count=0),
             dict(eve_correlation=1.5),
             dict(noise_std=-1.0),
-            dict(probe_interval=0.0),
             dict(attack_period=0.0),
             dict(mobility="flying"),
+            dict(noise_std=math.nan),
+            dict(eve_correlation=math.nan),
+            dict(attack_period=math.nan),
+            dict(process_std=math.nan),
+            dict(drift_std=math.nan),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

@@ -1,8 +1,8 @@
 """``simulate`` draws what no session reads on first read, and those arrays
 are bit for bit what drawing every array up front gives.
 
-The reference is the simulator before the deferred draws, kept here as it
-was: every draw in generator order, the phase walks wrapped by ``np.mod``.
+The reference is the simulator before the deferred draws: every draw in
+generator order, the phase walks wrapped by ``np.mod``.
 """
 
 import itertools
@@ -28,8 +28,6 @@ def eager_simulate(config):
     """Every array of one session, each drawn in turn as ``simulate`` once drew them."""
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     m, n = config.m, config.probe_count
-    shift = int(config.half_duplex_offset // config.probe_interval)
-    steps = n + shift
 
     def noise():
         if not config.noise_std:
@@ -38,17 +36,17 @@ def eager_simulate(config):
 
     def phase_walk():
         start = rng.uniform(-math.pi, math.pi, size=(m, 1))
-        walk_steps = rng.normal(0.0, 0.1, size=(m, steps))
+        walk_steps = rng.normal(0.0, 0.1, size=(m, n))
         walk_steps[:, 0] = 0.0
         walk = start + np.cumsum(walk_steps, axis=1)
         return np.mod(walk + math.pi, 2.0 * math.pi) - math.pi
 
-    drift = (config.effective_drift_std, config.drift_corr)
-    process = (config.effective_process_std, config.process_corr)
-    drift_link = channel._ar1(rng, (steps,), *drift)
-    drift_eve_own = channel._ar1(rng, (steps,), *drift)
-    proc_link = channel._ar1(rng, (m, steps), *process)
-    proc_eve_own = channel._ar1(rng, (m, steps), *process)
+    drift = (config.effective_drift_std, channel.DRIFT_CORR)
+    process = (config.effective_process_std, 0.0)
+    drift_link = channel._ar1(rng, (n,), *drift)
+    drift_eve_own = channel._ar1(rng, (n,), *drift)
+    proc_link = channel._ar1(rng, (m, n), *process)
+    proc_eve_own = channel._ar1(rng, (m, n), *process)
     noise_alice, noise_bob, noise_eve = noise(), noise(), noise()
     phase_link = phase_walk()
     phase_eve = phase_walk()
@@ -58,28 +56,26 @@ def eager_simulate(config):
     proc_eve = rho * proc_link + mix * proc_eve_own
     drift_eve = rho * drift_link + mix * drift_eve_own
 
-    times_alice = np.arange(n, dtype=np.float64) * config.probe_interval
-    times_bob = times_alice + config.half_duplex_offset
-    latent_alice = config.base_amplitude_db + drift_link[:n] + proc_link[:, :n]
-    latent_bob = (
-        config.base_amplitude_db + drift_link[shift : shift + n] + proc_link[:, shift : shift + n]
-    )
-    latent_eve = config.base_amplitude_db + drift_eve[:n] + proc_eve[:, :n]
+    times_alice = np.arange(n, dtype=np.float64) * channel.PROBE_INTERVAL
+    times_bob = times_alice + channel.HALF_DUPLEX_OFFSET
+    latent_alice = channel.BASE_AMPLITUDE_DB + drift_link + proc_link
+    latent_bob = channel.BASE_AMPLITUDE_DB + drift_link + proc_link
+    latent_eve = channel.BASE_AMPLITUDE_DB + drift_eve + proc_eve
     if config.attack_period is not None:
-        wave = (config.attack_period, config.attack_depth)
+        wave = (config.attack_period, channel.ATTACK_DEPTH)
         latent_alice = latent_alice + channel._attack_wave(times_alice, *wave)
         latent_bob = latent_bob + channel._attack_wave(times_bob, *wave)
 
     return {
         ("alice", "times"): times_alice,
         ("alice", "amplitude_db"): latent_alice + noise_alice,
-        ("alice", "phase_rad"): phase_link[:, :n],
+        ("alice", "phase_rad"): phase_link,
         ("bob", "times"): times_bob,
         ("bob", "amplitude_db"): latent_bob + noise_bob,
-        ("bob", "phase_rad"): phase_link[:, shift : shift + n],
+        ("bob", "phase_rad"): phase_link,
         ("eve", "times"): times_alice,
         ("eve", "amplitude_db"): latent_eve + noise_eve,
-        ("eve", "phase_rad"): phase_eve[:, :n],
+        ("eve", "phase_rad"): phase_eve,
     }
 
 
@@ -92,8 +88,6 @@ CONFIGS = {
         name: experiments.load_scenario(name).config
         for name in (*experiments.PRESET_NAMES, "attack")
     },
-    # Bob samples the step two probe intervals on, so the walks run past n
-    "offset_beyond_interval": small(half_duplex_offset=0.25),
     "noiseless": small(noise_std=0.0),
     "eve_correlated": small(eve_correlation=0.5),
     "eve_anticorrelated": small(eve_correlation=-0.5),

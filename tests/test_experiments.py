@@ -1,4 +1,6 @@
-from dataclasses import replace
+import json
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,8 +29,6 @@ class TestScenarios:
         assert sc.config.attack_period is not None
 
     def test_file_scenario_round_trip(self, tmp_path):
-        import json
-
         path = tmp_path / "mine.json"
         path.write_text(
             json.dumps(
@@ -45,6 +45,64 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
             experiments.load_scenario("Z")
+
+    def test_scenario_config_has_exactly_its_fields(self):
+        assert [f.name for f in fields(channel.ScenarioConfig)] == [
+            "m", "probe_count", "mobility", "noise_std", "eve_correlation",
+            "attack_period", "rng_seed", "process_std", "drift_std",
+        ]
+
+
+def scenario_text(**config) -> str:
+    return json.dumps({"name": "bad", "config": {"m": 3, "probe_count": 10, **config}})
+
+
+# scenario files that must end in a ConfigError, and a word its message names
+MALFORMED_SCENARIOS = {
+    "not_json": ("m = 3\n", "not JSON"),
+    "not_utf8": (b"\xff\xfe{}", "not JSON"),
+    "no_config": ('{"name": "bad"}', "config"),
+    "config_not_an_object": ('{"config": [1, 2]}', "config"),
+    "fractional_m": (scenario_text(m=2.5), "m must be an integer"),
+    "float_probe_count": (scenario_text(probe_count=2.0), "probe_count must be an integer"),
+    "bool_m": (scenario_text(m=True), "m must be an integer"),
+    "float_rng_seed": (scenario_text(rng_seed=1.0), "rng_seed must be an integer"),
+    "bool_rng_seed": (scenario_text(rng_seed=False), "rng_seed must be an integer"),
+    "alpha_not_a_number": ('{"alpha": "x", "config": {}}', "malformed"),
+    "removed_field": (scenario_text(probe_interval=0.1), "probe_interval"),
+    "removed_fields": (scenario_text(preset="C", attack_depth=4.0), "attack_depth, preset"),
+}
+
+
+class TestMalformedScenarioFiles:
+    @pytest.fixture(params=sorted(MALFORMED_SCENARIOS))
+    def bad_file(self, request, tmp_path):
+        content, words = MALFORMED_SCENARIOS[request.param]
+        path = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        return path, words
+
+    def test_load_scenario_raises_config_error(self, bad_file):
+        path, words = bad_file
+        with pytest.raises(ConfigError, match=words):
+            experiments.load_scenario(str(path))
+
+    def test_cli_prints_the_error_record(self, bad_file, tmp_path, capsys):
+        path, words = bad_file
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "simulate"
+        assert words in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_fields_take_integers(self):
+        cfg = channel.ScenarioConfig(m=np.int64(3), probe_count=10, rng_seed=2**64 - 1)
+        assert cfg.m == 3
 
 
 class TestAlphaSweep:
@@ -123,6 +181,36 @@ class TestProbeCounts:
         with pytest.raises(Sized) as sized:
             experiments.eve_independence(scenario, seed=0)
         assert sized.value.args == (EVE_PROBES_FOR_10K_BITS[alpha],)
+
+
+class TestImpossibleProbeCounts:
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def simulate(cfg):
+            raise AssertionError(f"simulated {cfg.probe_count} probes")
+
+        monkeypatch.setattr(experiments.channel, "simulate", simulate)
+
+    @pytest.mark.parametrize("alpha", [5.0, 39.0, math.inf])
+    def test_probes_for_bits_refuses(self, alpha):
+        with pytest.raises(ConfigError, match=f"more than {experiments.MAX_PROBES} probes"):
+            experiments.probes_for_bits(alpha, 30, 10_000)
+
+    @pytest.mark.parametrize("alpha", [5.0, 38.0, 39.0])
+    def test_eve_independence_refuses(self, alpha):
+        scenario = replace(experiments.load_scenario("C"), alpha=alpha)
+        with pytest.raises(ConfigError, match="probes"):
+            experiments.eve_independence(scenario, seed=0)
+
+    def test_randomness_command_refuses(self, tmp_path, capsys):
+        code = cli.main(
+            ["randomness", "--scenario", "C", "--alpha", "5", "--trials", "1",
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "randomness"
 
 
 class TestKeyMaterial:

@@ -6,9 +6,10 @@ eavesdropper's guesses for those sessions, key material for one preset,
 the attack experiment's bit waves and one alpha sweep. A change to the
 thresholds, the drop lists, the kept indices, the bit order or the length
 cap changes a digest. The digests were taken from the per-stream quantizer
-that preceded the matrix quantizer. One more digest pins the bytes of the
-three trace files ``save_trace`` writes for one session; it was taken from
-the ``csv.writer`` writer that preceded the chunked one.
+that preceded the matrix quantizer. Further digests pin the bytes of the
+three trace files ``save_trace`` writes for one session of every bundled
+scenario and of the README's custom one; C's was taken from the
+``csv.writer`` writer that preceded the chunked one.
 
 The (C, 256) sessions recombine, and their rounds were pinned again when
 ``recombine.plan`` went from one generator per stream to one per round. The
@@ -18,6 +19,7 @@ the reference picks of ``test_recombine``.
 """
 
 import hashlib
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -152,13 +154,41 @@ def test_alpha_sweep_rows():
     )
 
 
-def test_trace_file_bytes(tmp_path):
-    traces = channel.simulate(experiments.load_scenario("C").with_seed(0).config)
+# the custom scenario file of the README
+README_SCENARIO = {
+    "name": "mine",
+    "alpha": 0.4,
+    "config": {"m": 30, "probe_count": 300, "mobility": "mobile", "noise_std": 0.5, "rng_seed": 1},
+}
+
+# C, then every other bundled scenario at seed 0 and the README's scenario at
+# its own seed; all but C's were taken from the simulator that still read the
+# probe timing, drift correlation, base amplitude and attack depth from
+# ScenarioConfig fields
+TRACE_FILE_DIGESTS = {
+    "C": "7429ceabb968598e3c16c466d51b4b23b524cf90c64930f721dae4f85266c5b5",
+    "A": "396b84b6e8229424972dbacecd9e6570b52fa2e8dc66c3ae7e4208156ce745ba",
+    "B": "34fde9293a126581c2aac727cc519265c3ae09fa3f1f056c97893f57bf15b691",
+    "D": "7429ceabb968598e3c16c466d51b4b23b524cf90c64930f721dae4f85266c5b5",
+    "E": "3551eca6b4d67d29e20dc63bcc4bfbca6e26e97ac3abc8b66c8fa78540df7aa1",
+    "F": "403e27e35e6acedd9757789ab5aa46b985811ac4fbd32b2a2bf2e89562349f14",
+    "attack": "ed97c654fbb189d119634242a336f2c5427b2556b27679a9eb228d03632e73ed",
+    "readme": "c01bc385147b7bfc8034c5267e975eefaeae503edf97d2daa7ed5881958f03fd",
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_FILE_DIGESTS))
+def test_trace_file_bytes(name, tmp_path):
+    if name == "readme":
+        path = tmp_path / "mine.json"
+        path.write_text(json.dumps(README_SCENARIO), encoding="utf-8")
+        config = experiments.load_scenario(str(path)).config
+    else:
+        config = experiments.load_scenario(name).with_seed(0).config
+    traces = channel.simulate(config)
     chunks = []
     for party in ("alice", "bob", "eve"):
         path = tmp_path / f"{party}.csv"
         channel.save_trace(getattr(traces, party), path)
         chunks.append(path.read_bytes())
-    assert _sha(chunks) == (
-        "7429ceabb968598e3c16c466d51b4b23b524cf90c64930f721dae4f85266c5b5"
-    )
+    assert _sha(chunks) == TRACE_FILE_DIGESTS[name]

@@ -226,7 +226,7 @@ class TestProtocolParams:
 
 class TestDirectMatch:
     def test_noiseless_traces_match_on_first_stream(self):
-        traces = simulate(clean_config(noise_std=0.0, half_duplex_offset=0.0))
+        traces = simulate(clean_config(noise_std=0.0))
         params = ProtocolParams(alpha=0.4, key_length=64, rng_seed=3)
         result, _ = run_key_agreement(traces, params)
         assert result.matched_via == "stream:0"
@@ -246,7 +246,7 @@ class TestDirectMatch:
         assert result.counters.probe_messages == 2 * traces.n
 
     def test_matched_stream_bits_reported(self):
-        traces = simulate(clean_config(noise_std=0.0, half_duplex_offset=0.0))
+        traces = simulate(clean_config(noise_std=0.0))
         params = ProtocolParams(alpha=0.4, key_length=64, rng_seed=5)
         result, _ = run_key_agreement(traces, params)
         assert set(result.matched_stream_bits) == set(range(traces.m))
@@ -331,15 +331,13 @@ class TestDeterminism:
 
 class TestEve:
     def test_eve_with_alices_trace_correlates_perfectly(self):
-        traces = simulate(clean_config(noise_std=0.0, half_duplex_offset=0.0))
+        traces = simulate(clean_config(noise_std=0.0))
         params = ProtocolParams(alpha=0.4, key_length=64, rng_seed=17)
         result, eve_view = run_key_agreement(traces, params)
         cheat_view = EveView(
             transcript=eve_view.transcript,
             trace=traces.alice,
             alpha=eve_view.alpha,
-            gamma=eve_view.gamma,
-            theta=eve_view.theta,
             key_length=eve_view.key_length,
         )
         from skece.experiments import extract_party_streams
@@ -383,8 +381,6 @@ class TestEve:
             transcript=[],
             trace=simulate(clean_config()).eve,
             alpha=0.4,
-            gamma=0.98,
-            theta=5,
             key_length=64,
         )
         with pytest.raises(ProtocolError):
@@ -437,8 +433,6 @@ class TestDropListDesync:
             ],
             trace=traces.eve,
             alpha=0.4,
-            gamma=0.98,
-            theta=5,
             key_length=64,
         )
         with pytest.raises(DesyncError):
