@@ -12,20 +12,21 @@ from skece import channel, experiments, quantizer
 
 scenario = experiments.load_scenario("C").with_seed(7)
 traces = channel.simulate(scenario.config)
-samples_a = traces.alice.amplitude_db[0]
-samples_b = traces.bob.amplitude_db[0]
+alpha = 0.4
+# row 0 alone, as a (1, n) matrix: one subcarrier stream
+quant_a = quantizer.quantize_matrix(traces.alice.amplitude_db[:1], alpha)
+quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db[:1], alpha)
+mu, sigma = quant_a.mu[0], quant_a.sigma[0]
+print(f"alice thresholds: mu={mu:.2f} dB, sigma={sigma:.2f} dB, "
+      f"band [{mu - alpha * sigma:.2f}, {mu + alpha * sigma:.2f}]")
+print(f"alice drops {quant_a.inside.sum()} samples, bob drops {quant_b.inside.sum()}")
 
-th_a, drop_a = quantizer.quantize_stream(samples_a, alpha=0.4)
-th_b, drop_b = quantizer.quantize_stream(samples_b, alpha=0.4)
-print(f"alice thresholds: mu={th_a.mu:.2f} dB, sigma={th_a.sigma:.2f} dB, "
-      f"band [{th_a.q_minus:.2f}, {th_a.q_plus:.2f}]")
-print(f"alice drops {len(drop_a)} samples, bob drops {len(drop_b)}")
-
-kept = quantizer.merge_kept(drop_a, drop_b, traces.n)
-bits_a = quantizer.extract_bits(samples_a, th_a, kept, party="alice", stream=0)
-bits_b = quantizer.extract_bits(samples_b, th_b, kept, party="bob", stream=0)
+drops = (quant_a.inside, quant_b.inside)
+kept = quantizer.keep_mask(*drops, quant_a.inside.shape)
+(bits_a,) = quantizer.extract_streams(quant_a, *drops, party="alice")
+(bits_b,) = quantizer.extract_streams(quant_b, *drops, party="bob")
 agree = int(np.count_nonzero(bits_a.bits == bits_b.bits))
-print(f"jointly kept {len(kept)} samples -> {len(bits_a)} bits, "
+print(f"jointly kept {kept.sum()} samples -> {len(bits_a)} bits, "
       f"{agree}/{len(bits_a)} agree")
 print("alice bits:", bits_a.to01()[:64], "...")
 

@@ -28,10 +28,6 @@ from .errors import (
 )
 from .quantizer import (
     BitStream,
-    DropList,
-    Thresholds,
-    compute_thresholds,
-    drop_indices,
     extract_bits,
     extract_streams,
     keep_mask,
@@ -77,8 +73,8 @@ __all__ = [
     "CsiTrace", "PairedTraceSet", "ScenarioConfig", "load_trace", "save_trace", "simulate",
     "ConfigError", "DesyncError", "InsufficientBitsError", "ProtocolError",
     "SkeceError", "TraceFormatError", "WireFormatError",
-    "BitStream", "DropList", "Thresholds", "compute_thresholds", "drop_indices",
-    "extract_bits", "extract_streams", "keep_mask", "merge_kept", "quantize_matrix",
+    "BitStream", "extract_bits", "extract_streams", "keep_mask", "merge_kept",
+    "quantize_matrix",
     "ValidationTag", "checking_length", "make_tag", "validate",
     "allocate", "difference_degree", "edit_distance", "plan", "success_probability",
     "weights",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .protocol import A_TO_B, B_TO_A, Link, MsgType
-from .quantizer import BitStream
+from .quantizer import BitStream, _as_bits
 
 _BISECT_REQ = struct.Struct(">BII")
 
@@ -63,15 +63,19 @@ def _block_parities(bits: np.ndarray, block: int) -> np.ndarray:
     return padded.reshape(nblocks, block).sum(axis=1).astype(np.uint8) & 1
 
 
-def cascade_reconcile(a: BitStream, b: BitStream, cfg: CascadeConfig) -> ReconciliationOutcome:
-    """Reconcile Bob's stream against Alice's; Alice's bits never change."""
-    if len(a) != len(b):
-        raise ConfigError(f"stream lengths differ: {len(a)} vs {len(b)}")
-    n = len(a)
+def cascade_reconcile(a, b, cfg: CascadeConfig) -> ReconciliationOutcome:
+    """Reconcile Bob's stream against Alice's; Alice's bits never change.
+
+    Either stream may be a :class:`BitStream` or a 0/1 sequence; the
+    corrected stream keeps a :class:`BitStream` ``b``'s party and stream.
+    """
+    bits_a, bits_b = _as_bits(a), _as_bits(b).copy()
+    if bits_a.size != bits_b.size:
+        raise ConfigError(f"stream lengths differ: {bits_a.size} vs {bits_b.size}")
+    n = bits_a.size
     if n == 0:
         raise ConfigError("cannot reconcile empty streams")
     link = Link()
-    bits_b = b.bits.copy()
     leaked = 0
     converged = False
 
@@ -80,7 +84,7 @@ def cascade_reconcile(a: BitStream, b: BitStream, cfg: CascadeConfig) -> Reconci
         perm = np.random.default_rng(
             np.random.SeedSequence([cfg.rng_seed, rnd])
         ).permutation(n)
-        pa = a.bits[perm]
+        pa = bits_a[perm]
         pb = bits_b[perm]
 
         par_a = _block_parities(pa, block)
@@ -115,7 +119,8 @@ def cascade_reconcile(a: BitStream, b: BitStream, cfg: CascadeConfig) -> Reconci
             pb[lo] ^= 1
             bits_b[perm[lo]] ^= 1
 
-    corrected = BitStream(bits_b, party=b.party, stream=b.stream)
+    origin = (b.party, b.stream) if isinstance(b, BitStream) else (None, None)
+    corrected = BitStream(bits_b, *origin)
     return ReconciliationOutcome(
         corrected=corrected,
         messages_a_to_b=sum(1 for m in link.transcript if m.direction == A_TO_B),

@@ -44,6 +44,10 @@ DRIFT_CORR = 0.99  # lag-one correlation of the shared drift, per probe step
 BASE_AMPLITUDE_DB = 20.0
 ATTACK_DEPTH = 4.0  # dB of attenuation while the line of sight is blocked
 
+# simulate peaks at about nine float64 (m, n) matrices, so a scenario is capped
+# at m * probe_count samples per party: about 2 GB at 30 x 1,000,000
+MAX_SAMPLES = 30_000_000
+
 MOBILITY_PROCESS_STD = {"static": 2.0, "mobile": 5.0}
 # kept small relative to the per-subcarrier variation so the shared drift
 # does not imprint serial structure on the quantized bits
@@ -244,6 +248,11 @@ class ScenarioConfig:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.probe_count < 1:
             raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
+        if int(self.m) * int(self.probe_count) > MAX_SAMPLES:
+            raise ConfigError(
+                f"m x probe_count is {self.m} x {self.probe_count}, above the "
+                f"{MAX_SAMPLES} samples a scenario may hold"
+            )
         if self.mobility not in MOBILITY_PROCESS_STD:
             raise ConfigError(f"mobility must be static or mobile, got {self.mobility!r}")
         if not self.noise_std >= 0:

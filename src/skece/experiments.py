@@ -20,11 +20,6 @@ from .quantizer import BitStream
 
 PRESET_NAMES = ("A", "B", "C", "D", "E", "F")
 
-# simulate peaks at about nine float64 (m, n) matrices: 2 GB for a million
-# probes at m = 30, beyond a desk-scale run. The presets and default alphas
-# ask for at most 40,970 (eve_independence at alpha 1).
-MAX_PROBES = 1_000_000
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -83,12 +78,18 @@ def keep_rate_estimate(alpha: float) -> float:
     return math.erfc(alpha / math.sqrt(2.0))
 
 
-def _probe_count(bits: float, keep: float, alpha: float) -> int:
-    """``ceil(bits / keep)``: the probes that keep ``bits`` samples at rate ``keep``."""
-    if bits > MAX_PROBES * keep:
+def _probe_count(bits: float, keep: float, alpha: float, m: int) -> int:
+    """``ceil(bits / keep)``: the probes that keep ``bits`` samples at rate ``keep``.
+
+    Refused before simulating when m streams of that many probes would exceed
+    :data:`channel.MAX_SAMPLES`. The presets and default alphas ask for at
+    most 40,970 probes of 30 streams (eve_independence at alpha 1).
+    """
+    max_probes = channel.MAX_SAMPLES // m
+    if not bits <= max_probes * keep:  # a NaN keep rate, which compares false, fails
         raise ConfigError(
             f"alpha {alpha} keeps a share {keep:.3g} of the samples, so the requested "
-            f"bits need more than {MAX_PROBES} probes"
+            f"bits need more than {max_probes} probes"
         )
     return math.ceil(bits / keep)
 
@@ -98,7 +99,7 @@ def probes_for_bits(alpha: float, m: int, target_bits: int) -> int:
 
     Sized 35% above the normal-model keep rate, since the kept share varies.
     """
-    return max(2, _probe_count(target_bits * 1.35, m * keep_rate_estimate(alpha), alpha))
+    return max(2, _probe_count(target_bits * 1.35, m * keep_rate_estimate(alpha), alpha, m))
 
 
 def extract_party_streams(traces: channel.PairedTraceSet, alpha: float):
@@ -324,7 +325,8 @@ def eve_independence(
     Eve's guesses read only the two DROP_LIST frames, so the session stops
     after that exchange; its streams for Alice are the reference.
     """
-    n = _probe_count(bits_per_stream * 1.3, keep_rate_estimate(scenario.alpha), scenario.alpha)
+    keep = keep_rate_estimate(scenario.alpha)
+    n = _probe_count(bits_per_stream * 1.3, keep, scenario.alpha, scenario.config.m)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
     traces = channel.simulate(cfg)
     params = protocol.ProtocolParams(alpha=scenario.alpha, key_length=bits_per_stream)

@@ -11,7 +11,9 @@ Boundary samples are kept, so tie handling is deterministic. The parties
 exchange drop lists and keep only the indices neither side dropped.
 
 :func:`quantize_matrix` and :func:`extract_streams` do this for all m rows
-of a trace at once; the one-stream functions do it for a single row.
+of a trace at once. :func:`quantize_stream`, :func:`merge_kept` and
+:func:`extract_bits` are their one-row calls, kept only for the benchmark's
+span tracer.
 """
 
 from __future__ import annotations
@@ -23,35 +25,6 @@ import numpy as np
 from .errors import ConfigError, DesyncError
 
 PARTIES = ("alice", "bob", "eve")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Dual quantization thresholds derived from trace statistics.
-
-    ``sigma`` is the population standard deviation, so two samples already
-    produce a usable band.
-    """
-
-    mu: float
-    sigma: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise ConfigError("thresholds require finite mu and sigma")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-
-    @property
-    def q_plus(self) -> float:
-        return self.mu + self.alpha * self.sigma
-
-    @property
-    def q_minus(self) -> float:
-        return self.mu - self.alpha * self.sigma
 
 
 @dataclass(frozen=True)
@@ -105,98 +78,6 @@ def _as_bits(bits) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DropList:
-    """Strictly increasing sample indices a party decided to drop."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ConfigError("drop indices must be one-dimensional")
-        if idx.size:
-            if idx.min() < 0:
-                raise ConfigError("drop indices must be non-negative")
-            if (idx[1:] <= idx[:-1]).any():
-                raise ConfigError("drop indices must be strictly increasing")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-
-def _inside(samples, q_minus, q_plus) -> np.ndarray:
-    """Samples strictly inside the open (q-, q+) band, the ones a party drops."""
-    return (samples > q_minus) & (samples < q_plus)
-
-
-def compute_thresholds(samples, alpha: float) -> Thresholds:
-    """Compute mu, sigma and the q+/q- band from an amplitude sequence."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise ConfigError("threshold samples must be one-dimensional")
-    quantized = quantize_matrix(samples[None, :], alpha)
-    mu, sigma = float(quantized.mu[0]), float(quantized.sigma[0])
-    return Thresholds(mu=mu, sigma=sigma, alpha=alpha)
-
-
-def drop_indices(samples, thresholds: Thresholds) -> DropList:
-    """Indices whose samples lie strictly inside the open (q-, q+) band."""
-    samples = np.asarray(samples, dtype=np.float64)
-    inside = _inside(samples, thresholds.q_minus, thresholds.q_plus)
-    return DropList(np.flatnonzero(inside))
-
-
-def merge_kept(drop_a: DropList, drop_b: DropList, n: int) -> np.ndarray:
-    """Ascending indices absent from the union of both parties' drop lists."""
-    if n < 0:
-        raise ConfigError(f"sequence length must be >= 0, got {n}")
-    keep = np.ones(n, dtype=bool)
-    for name, lst in (("alice", drop_a), ("bob", drop_b)):
-        # drop indices are strictly increasing, so the last one is the largest
-        if len(lst) and lst.indices[-1] >= n:
-            raise ConfigError(f"{name} drop list has index {lst.indices[-1]} >= {n}")
-        keep[lst.indices] = False
-    return np.flatnonzero(keep)
-
-
-def extract_bits(
-    samples,
-    thresholds: Thresholds,
-    kept,
-    party: str | None = None,
-    stream: int | None = None,
-) -> BitStream:
-    """Quantize the kept samples: 1 at or above q+, 0 at or below q-.
-
-    A kept index strictly inside the band means the parties' drop lists
-    diverged, which is surfaced as a :class:`DesyncError`.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    kept = np.asarray(kept, dtype=np.int64)
-    if kept.size and (kept.min() < 0 or kept.max() >= samples.size):
-        raise ConfigError("kept indices out of range")
-    values = samples[kept]
-    inside = _inside(values, thresholds.q_minus, thresholds.q_plus)
-    if np.any(inside):
-        bad = kept[np.flatnonzero(inside)[0]]
-        raise DesyncError(
-            f"kept index {bad} lies strictly inside the quantization band; "
-            "drop lists are out of sync"
-        )
-    return BitStream(
-        (values >= thresholds.q_plus).astype(np.uint8), party=party, stream=stream
-    )
-
-
-def quantize_stream(samples, alpha: float) -> tuple[Thresholds, DropList]:
-    """One party's local quantization step for a single subcarrier stream."""
-    th = compute_thresholds(samples, alpha)
-    return th, drop_indices(samples, th)
-
-
-@dataclass(frozen=True)
 class MatrixQuantization:
     """One party's quantization of an (m, n) amplitude matrix, row by row.
 
@@ -212,7 +93,11 @@ class MatrixQuantization:
 
 
 def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
-    """Quantize every subcarrier row of a trace with its own mu ± alpha·sigma band."""
+    """Quantize every subcarrier row of a trace with its own mu ± alpha·sigma band.
+
+    ``sigma`` is the population standard deviation, so two samples already
+    produce a usable band.
+    """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     if amplitudes.ndim != 2:
         raise ConfigError("amplitudes must be an (m, n) matrix")
@@ -220,7 +105,7 @@ def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
         raise ConfigError(f"need at least 2 samples, got {amplitudes.shape[1]}")
     if not np.all(np.isfinite(amplitudes)):
         raise ConfigError("samples contain non-finite values")
-    if alpha < 0:
+    if not alpha >= 0:  # written so that a NaN alpha, which compares false, fails
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     mu = amplitudes.mean(axis=1)
     sigma = amplitudes.std(axis=1)
@@ -228,7 +113,7 @@ def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
         raise ConfigError("thresholds require finite mu and sigma")
     q_plus = (mu + alpha * sigma)[:, None]
     q_minus = (mu - alpha * sigma)[:, None]
-    inside = _inside(amplitudes, q_minus, q_plus)
+    inside = (amplitudes > q_minus) & (amplitudes < q_plus)  # the open band: drops
     return MatrixQuantization(mu=mu, sigma=sigma, inside=inside, ones=amplitudes >= q_plus)
 
 
@@ -278,3 +163,46 @@ def extract_streams(
             "band; drop lists are out of sync"
         )
     return split_streams(quantized.ones, keep, party=party, limit=limit)
+
+
+def _one_row(matrix, what: str) -> None:
+    if np.ndim(matrix) != 2 or np.shape(matrix)[0] != 1:
+        raise ConfigError(f"{what} must be a single (1, n) row")
+
+
+def quantize_stream(samples, alpha: float) -> MatrixQuantization:
+    """:func:`quantize_matrix` of one stream's 1-D samples: a (1, n) quantization.
+
+    Remains only because ``bench/tracing.py`` wraps it; it goes when the
+    tracer wraps :func:`quantize_matrix` and :func:`extract_streams`.
+    """
+    if np.ndim(samples) != 1:
+        raise ConfigError("stream samples must be one-dimensional")
+    return quantize_matrix(np.asarray(samples)[None, :], alpha)
+
+
+def merge_kept(drops_a, drops_b) -> np.ndarray:
+    """Ascending indices kept by :func:`keep_mask` of two (1, n) drop masks.
+
+    Remains only because ``bench/tracing.py`` wraps it; it goes when the
+    tracer wraps :func:`quantize_matrix` and :func:`extract_streams`.
+    """
+    _one_row(drops_a, "drop mask")
+    return np.flatnonzero(keep_mask(drops_a, drops_b, np.shape(drops_a)))
+
+
+def extract_bits(
+    quantized: MatrixQuantization,
+    drops_a,
+    drops_b,
+    party: str | None = None,
+    stream: int | None = None,
+) -> BitStream:
+    """:func:`extract_streams` of a (1, n) quantization, as one stream.
+
+    Remains only because ``bench/tracing.py`` wraps it; it goes when the
+    tracer wraps :func:`quantize_matrix` and :func:`extract_streams`.
+    """
+    _one_row(quantized.inside, "quantization")
+    (bits,) = extract_streams(quantized, drops_a, drops_b, party=party)
+    return BitStream(bits.bits, party=party, stream=stream)

@@ -60,6 +60,24 @@ class TestBasics:
         with pytest.raises(ConfigError, match="empty"):
             cascade_reconcile(BitStream([]), BitStream([]), CascadeConfig())
 
+    @pytest.mark.parametrize(
+        "bad", [[1, 2, 0], np.array([0.5, 1.0, 0.0]), np.ones((3, 1)), "101", None]
+    )
+    def test_non_bit_input_rejected(self, bad):
+        good = BitStream([1, 0, 1])
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ConfigError):
+                cascade_reconcile(a, b, CascadeConfig())
+
+    def test_plain_sequences_reconcile_like_streams(self):
+        a, b, bits = random_pair(9, flips=1)
+        b = BitStream(b.bits, party="bob", stream=4)
+        from_streams = cascade_reconcile(a, b, CascadeConfig(rng_seed=5))
+        from_arrays = cascade_reconcile(bits, b.bits.tolist(), CascadeConfig(rng_seed=5))
+        assert from_streams.corrected == BitStream(bits, party="bob", stream=4)
+        assert from_arrays.corrected == BitStream(bits)
+        assert from_arrays.transcript == from_streams.transcript
+
     def test_message_accounting_matches_transcript(self):
         a, b, _ = random_pair(7, flips=3)
         out = cascade_reconcile(a, b, CascadeConfig(rng_seed=3))

@@ -105,6 +105,32 @@ class TestMalformedScenarioFiles:
         assert cfg.m == 3
 
 
+class TestOversizedScenarios:
+    @pytest.mark.parametrize("m,probe_count", [(30, 10**12), (10**6, 10**6), (31, 10**6)])
+    def test_scenario_config_refuses(self, m, probe_count):
+        with pytest.raises(ConfigError, match="samples a scenario may hold"):
+            channel.ScenarioConfig(m=m, probe_count=probe_count)
+
+    def test_bound_is_inclusive(self):
+        cfg = channel.ScenarioConfig(m=30, probe_count=channel.MAX_SAMPLES // 30)
+        assert cfg.m * cfg.probe_count == channel.MAX_SAMPLES
+
+    def test_cli_simulate_refuses_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def simulate(cfg):
+            raise AssertionError(f"simulated {cfg.m} x {cfg.probe_count}")
+
+        monkeypatch.setattr(channel, "simulate", simulate)
+        path = tmp_path / "huge.json"
+        path.write_text(scenario_text(m=30, probe_count=10**12), encoding="utf-8")
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "simulate"
+        assert "samples a scenario may hold" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestAlphaSweep:
     def test_zero_alpha_has_empty_band(self):
         sc = experiments.load_scenario("C")
@@ -191,9 +217,9 @@ class TestImpossibleProbeCounts:
 
         monkeypatch.setattr(experiments.channel, "simulate", simulate)
 
-    @pytest.mark.parametrize("alpha", [5.0, 39.0, math.inf])
+    @pytest.mark.parametrize("alpha", [5.0, 39.0, math.inf, math.nan])
     def test_probes_for_bits_refuses(self, alpha):
-        with pytest.raises(ConfigError, match=f"more than {experiments.MAX_PROBES} probes"):
+        with pytest.raises(ConfigError, match=f"more than {channel.MAX_SAMPLES // 30} probes"):
             experiments.probes_for_bits(alpha, 30, 10_000)
 
     @pytest.mark.parametrize("alpha", [5.0, 38.0, 39.0])

@@ -5,145 +5,79 @@ from skece.errors import ConfigError, DesyncError, WireFormatError
 from skece.protocol import decode_drop_lists, encode_drop_lists
 from skece.quantizer import (
     BitStream,
-    DropList,
-    Thresholds,
-    compute_thresholds,
-    drop_indices,
     extract_bits,
     extract_streams,
     keep_mask,
     merge_kept,
     quantize_matrix,
+    quantize_stream,
 )
 
 
-class TestThresholds:
+def reference(amp_a, amp_b, alpha):
+    """Per row: both parties' (mu, sigma, drops), the kept indices and both bit lists.
+
+    mu and sigma are numpy's 1-D mean and population std of the row; every
+    drop and bit is a plain-Python comparison of one sample.
+    """
+    rows = []
+    for pair in zip(amp_a, amp_b):
+        stats, q_plus = [], []
+        for row in pair:
+            mu, sigma = float(np.mean(row)), float(np.std(row))
+            lo, hi = mu - alpha * sigma, mu + alpha * sigma
+            stats.append((mu, sigma, [lo < x < hi for x in row.tolist()]))
+            q_plus.append(hi)
+        kept = [k for k in range(len(pair[0])) if not (stats[0][2][k] or stats[1][2][k])]
+        bits = [[int(row[k] >= hi) for k in kept] for row, hi in zip(pair, q_plus)]
+        rows.append((stats, kept, bits))
+    return rows
+
+
+def random_pair(rng, trial):
+    m, n = int(rng.integers(1, 8)), int(rng.integers(2, 120))
+    amp_a = rng.normal(20, 4, size=(m, n))
+    amp_b = amp_a + rng.normal(0, 1, size=(m, n))
+    if trial % 2:
+        # half-integer grid: samples can sit exactly on a threshold
+        amp_a, amp_b = np.round(2 * amp_a) / 2, np.round(2 * amp_b) / 2
+    return amp_a, amp_b
+
+
+class TestBand:
     def test_constant_samples_collapse_band(self):
-        th = compute_thresholds([0.0, 0.0, 0.0, 0.0], alpha=1.0)
-        assert th.sigma == 0.0
-        assert th.q_plus == th.q_minus == 0.0
+        q = quantize_matrix([[0.0, 0.0, 0.0, 0.0]], alpha=1.0)
+        assert (q.mu.tolist(), q.sigma.tolist()) == ([0.0], [0.0])
+        # q- = q+ = 0: no sample lies strictly inside, and all sit at q+
+        assert not q.inside.any()
+        assert q.ones.all()
 
     def test_two_samples_population_sigma(self):
-        th = compute_thresholds([1.0, 3.0], alpha=1.0)
-        assert th.mu == 2.0
-        assert th.sigma == 1.0
-        assert th.q_plus == 3.0
-        assert th.q_minus == 1.0
+        q = quantize_matrix([[1.0, 3.0]], alpha=1.0)
+        assert (q.mu.tolist(), q.sigma.tolist()) == ([2.0], [1.0])
+        # the band is [1, 3]: both samples sit on a boundary
+        assert not q.inside.any()
+        assert q.ones.tolist() == [[False, True]]
 
     def test_alpha_zero_collapses_to_mean(self):
-        for samples in ([1.0, 3.0], [5.0, -2.0, 7.5]):
-            th = compute_thresholds(samples, alpha=0.0)
-            assert th.q_plus == th.q_minus == th.mu
-
-    @pytest.mark.parametrize(
-        "samples,alpha",
-        [([1.0], 1.0), ([], 1.0), ([1.0, float("nan")], 1.0), ([1.0, 2.0], -0.5)],
-    )
-    def test_rejects_bad_inputs(self, samples, alpha):
-        with pytest.raises(ConfigError):
-            compute_thresholds(samples, alpha)
-
-    def test_invariant_enforced_on_type(self):
-        with pytest.raises(ConfigError):
-            Thresholds(mu=0.0, sigma=-1.0, alpha=1.0)
-
-
-class TestDropIndices:
-    def test_all_dropped_when_all_equal_mean(self):
-        samples = np.full(6, 4.2)
-        th = Thresholds(mu=4.2, sigma=1.0, alpha=0.5)
-        assert drop_indices(samples, th).indices.tolist() == list(range(6))
-
-    def test_boundary_values_are_kept(self):
-        th = compute_thresholds([1.0, 3.0], alpha=1.0)
-        assert len(drop_indices([1.0, 3.0], th)) == 0
-
-    def test_band_membership_strict(self):
-        samples = np.array([0.0, 10.0, 5.0])
-        th = compute_thresholds(samples, alpha=0.5)
-        assert th.mu == 5.0
-        assert th.sigma == pytest.approx(np.sqrt(50.0 / 3.0))
-        assert drop_indices(samples, th).indices.tolist() == [2]
+        samples = np.array([[1.0, 3.0, 2.0], [5.0, -2.0, 7.5]])
+        q = quantize_matrix(samples, alpha=0.0)
+        assert not q.inside.any()
+        assert np.array_equal(q.ones, samples >= q.mu[:, None])
 
     def test_alpha_zero_drops_nothing(self):
         rng = np.random.default_rng(0)
-        samples = rng.normal(size=200)
-        th = compute_thresholds(samples, alpha=0.0)
-        assert len(drop_indices(samples, th)) == 0
+        assert not quantize_matrix(rng.normal(size=(4, 200)), alpha=0.0).inside.any()
 
+    def test_band_membership_strict(self):
+        q = quantize_matrix([[0.0, 10.0, 5.0]], alpha=0.5)
+        assert q.mu.tolist() == [5.0]
+        assert q.sigma[0] == pytest.approx(np.sqrt(50.0 / 3.0))
+        assert q.inside.tolist() == [[False, False, True]]
 
-class TestMergeKept:
-    def test_simple_complement(self):
-        kept = merge_kept(DropList([0]), DropList([2]), n=4)
-        assert kept.tolist() == [1, 3]
-
-    def test_empty_drops_keep_all(self):
-        kept = merge_kept(DropList([]), DropList([]), n=5)
-        assert kept.tolist() == [0, 1, 2, 3, 4]
-
-    def test_matches_set_complement_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = 20
-            a = np.flatnonzero(rng.random(n) < 0.3)
-            b = np.flatnonzero(rng.random(n) < 0.3)
-            kept = merge_kept(DropList(a), DropList(b), n)
-            oracle = sorted(set(range(n)) - set(a.tolist()) - set(b.tolist()))
-            assert kept.tolist() == oracle
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ConfigError):
-            merge_kept(DropList([4]), DropList([]), n=4)
-
-
-class TestExtractBits:
-    def test_boundary_inclusive_rule(self):
-        th = compute_thresholds([1.0, 3.0], alpha=1.0)
-        bits = extract_bits([1.0, 3.0], th, [0, 1])
-        assert bits.to01() == "01"
-
-    def test_empty_kept_gives_empty_stream(self):
-        th = compute_thresholds([1.0, 3.0], alpha=1.0)
-        assert len(extract_bits([1.0, 3.0], th, [])) == 0
-
-    def test_in_band_kept_index_signals_desync(self):
-        samples = np.array([0.0, 10.0, 5.0])
-        th = compute_thresholds(samples, alpha=0.5)
-        with pytest.raises(DesyncError):
-            extract_bits(samples, th, [0, 1, 2])
-
-    def test_kept_index_out_of_range(self):
-        th = compute_thresholds([1.0, 3.0], alpha=1.0)
-        with pytest.raises(ConfigError):
-            extract_bits([1.0, 3.0], th, [0, 5])
-
-
-class TestMatrixQuantizer:
-    def test_rows_match_the_one_stream_api(self):
-        rng = np.random.default_rng(17)
-        for trial in range(20):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 120))
-            alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
-            amp_a = rng.normal(20, 4, size=(m, n))
-            amp_b = amp_a + rng.normal(0, 1, size=(m, n))
-            if trial % 2:
-                # half-integer grid: samples can sit exactly on a threshold
-                amp_a, amp_b = np.round(2 * amp_a) / 2, np.round(2 * amp_b) / 2
-            qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
-            keep = keep_mask(qa.inside, qb.inside, (m, n))
-            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
-            streams_b = extract_streams(qb, qa.inside, qb.inside, "bob", n // 3)
-            for i in range(m):
-                th_a = compute_thresholds(amp_a[i], alpha)
-                th_b = compute_thresholds(amp_b[i], alpha)
-                assert (qa.mu[i], qa.sigma[i]) == (th_a.mu, th_a.sigma)
-                drop_a, drop_b = drop_indices(amp_a[i], th_a), drop_indices(amp_b[i], th_b)
-                assert np.flatnonzero(qa.inside[i]).tolist() == drop_a.indices.tolist()
-                kept = merge_kept(drop_a, drop_b, n)
-                assert np.flatnonzero(keep[i]).tolist() == kept.tolist()
-                assert streams_a[i] == extract_bits(amp_a[i], th_a, kept, "alice", i)
-                full_b = extract_bits(amp_b[i], th_b, kept, "bob", i)
-                assert streams_b[i] == BitStream(full_b.bits[: n // 3], "bob", i)
+    def test_every_sample_at_the_mean_is_dropped(self):
+        q = quantize_matrix([[0.0, 5.0, 5.0, 5.0, 5.0, 10.0]], alpha=0.5)
+        assert np.flatnonzero(q.inside[0]).tolist() == [1, 2, 3, 4]
 
     def test_boundary_inclusive_rule(self):
         q = quantize_matrix([[1.0, 3.0], [0.0, 0.0]], alpha=1.0)
@@ -152,11 +86,37 @@ class TestMatrixQuantizer:
 
     @pytest.mark.parametrize(
         "amplitudes,alpha",
-        [([1.0, 2.0], 1.0), ([[1.0]], 1.0), ([[1.0, float("nan")]], 1.0), ([[1.0, 2.0]], -0.5)],
+        [
+            ([1.0, 2.0], 1.0),
+            ([[1.0]], 1.0),
+            ([[]], 1.0),
+            ([[1.0, float("nan")]], 1.0),
+            ([[1.0, 2.0]], -0.5),
+            ([[1.0, 2.0]], float("nan")),
+        ],
     )
     def test_rejects_bad_inputs(self, amplitudes, alpha):
         with pytest.raises(ConfigError):
             quantize_matrix(amplitudes, alpha)
+
+
+class TestKeepMask:
+    def test_simple_complement(self):
+        keep = keep_mask(np.array([[1, 0, 0, 0]]), np.array([[0, 0, 1, 0]]), (1, 4))
+        assert np.flatnonzero(keep[0]).tolist() == [1, 3]
+
+    def test_empty_drops_keep_all(self):
+        none = np.zeros((2, 5), dtype=bool)
+        assert keep_mask(none, none, (2, 5)).all()
+
+    def test_matches_set_complement_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            a, b = rng.random((2, 3, 20)) < 0.3
+            keep = keep_mask(a, b, (3, 20))
+            for i in range(3):
+                oracle = set(range(20)) - set(np.flatnonzero(a[i])) - set(np.flatnonzero(b[i]))
+                assert np.flatnonzero(keep[i]).tolist() == sorted(oracle)
 
     def test_keep_mask_from_drop_lists_equals_mask_form(self):
         rng = np.random.default_rng(3)
@@ -176,6 +136,18 @@ class TestMatrixQuantizer:
         with pytest.raises(WireFormatError):
             decode_drop_lists(encode_drop_lists([[False] * 4 + [True]]), 4)
 
+
+class TestExtractStreams:
+    def test_boundary_samples_become_bits(self):
+        q = quantize_matrix([[1.0, 3.0]], alpha=1.0)
+        assert extract_streams(q, q.inside, q.inside)[0].to01() == "01"
+
+    def test_empty_kept_set_gives_empty_stream(self):
+        q = quantize_matrix([[1.0, 3.0], [1.0, 3.0]], alpha=1.0)
+        drops = np.array([[True, True], [False, False]])
+        streams = extract_streams(q, q.inside, drops)
+        assert [len(s) for s in streams] == [0, 2]
+
     def test_kept_in_band_sample_signals_desync(self):
         q = quantize_matrix([[0.0, 10.0, 5.0], [0.0, 10.0, 5.0]], alpha=0.5)
         drops = np.array([[False, False, True], [False, False, False]])
@@ -183,50 +155,98 @@ class TestMatrixQuantizer:
         with pytest.raises(DesyncError, match="stream 1: kept index 2"):
             extract_streams(q, drops, drops)
 
+    def test_rows_match_a_per_sample_reference(self):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            amp_a, amp_b = random_pair(rng, trial)
+            m, n = amp_a.shape
+            alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
+            qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
+            keep = keep_mask(qa.inside, qb.inside, (m, n))
+            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
+            streams_b = extract_streams(qb, qa.inside, qb.inside, "bob", n // 3)
+            for i, (stats, kept, bits) in enumerate(reference(amp_a, amp_b, alpha)):
+                for q, (mu, sigma, drops) in zip((qa, qb), stats):
+                    assert (q.mu[i], q.sigma[i]) == (mu, sigma)
+                    assert q.inside[i].tolist() == drops
+                assert np.flatnonzero(keep[i]).tolist() == kept
+                assert streams_a[i] == BitStream(bits[0], "alice", i)
+                assert streams_b[i] == BitStream(bits[1][: n // 3], "bob", i)
+
+
+class TestOneRowDelegates:
+    def test_each_delegate_equals_its_matrix_row(self):
+        rng = np.random.default_rng(23)
+        for trial in range(10):
+            amp_a, amp_b = random_pair(rng, trial)
+            alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
+            qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
+            keep = keep_mask(qa.inside, qb.inside, qa.inside.shape)
+            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
+            for i in range(len(amp_a)):
+                ra, rb = quantize_stream(amp_a[i], alpha), quantize_stream(amp_b[i], alpha)
+                assert (ra.mu.tolist(), ra.sigma.tolist()) == ([qa.mu[i]], [qa.sigma[i]])
+                assert np.array_equal(ra.inside, qa.inside[i : i + 1])
+                assert np.array_equal(ra.ones, qa.ones[i : i + 1])
+                kept = merge_kept(ra.inside, rb.inside)
+                assert kept.tolist() == np.flatnonzero(keep[i]).tolist()
+                assert extract_bits(ra, ra.inside, rb.inside, "alice", i) == streams_a[i]
+                assert extract_bits(ra, ra.inside, rb.inside).stream is None
+
+    def test_delegates_take_one_row_only(self):
+        with pytest.raises(ConfigError):
+            quantize_stream([[1.0, 2.0]], 1.0)
+        q = quantize_matrix([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], 1.0)
+        with pytest.raises(ConfigError):
+            merge_kept(q.inside, q.inside)
+        with pytest.raises(ConfigError):
+            merge_kept(q.inside[0], q.inside[0])
+        with pytest.raises(ConfigError):
+            extract_bits(q, q.inside, q.inside)
+
 
 class TestProperties:
     def test_partition_every_index_exactly_one_category(self):
         rng = np.random.default_rng(7)
         for trial in range(30):
-            samples = rng.normal(0, 3, size=100)
+            samples = rng.normal(0, 3, size=(4, 100))
             alpha = rng.choice([0.0, 0.3, 0.7, 1.2])
-            th = compute_thresholds(samples, alpha)
-            dropped = set(drop_indices(samples, th).indices.tolist())
-            kept = [i for i in range(100) if i not in dropped]
-            bits = extract_bits(samples, th, kept)
-            ones = {i for i, b in zip(kept, bits.bits) if b == 1}
-            zeros = {i for i, b in zip(kept, bits.bits) if b == 0}
-            assert dropped | ones | zeros == set(range(100))
-            assert not (dropped & ones) and not (dropped & zeros) and not (ones & zeros)
+            q = quantize_matrix(samples, alpha)
+            q_minus = (q.mu - alpha * q.sigma)[:, None]
+            streams = extract_streams(q, q.inside, q.inside)
+            # a sample is dropped, a 1 bit (at or above q+) or a 0 bit (at or below q-)
+            assert not (q.inside & q.ones).any()
+            zeros = ~q.inside & ~q.ones
+            assert (samples <= q_minus)[zeros].all()
+            for i, stream in enumerate(streams):
+                assert len(stream) == np.count_nonzero(~q.inside[i])
+                assert np.array_equal(stream.bits, q.ones[i][~q.inside[i]])
 
     def test_drop_set_monotone_in_alpha(self):
         rng = np.random.default_rng(11)
-        samples = rng.normal(0, 2, size=300)
-        previous = set()
+        samples = rng.normal(0, 2, size=(3, 300))
+        previous = np.zeros(samples.shape, dtype=bool)
         for alpha in (0.0, 0.2, 0.4, 0.7, 1.0, 1.5):
-            th = compute_thresholds(samples, alpha)
-            dropped = set(drop_indices(samples, th).indices.tolist())
-            assert previous <= dropped
+            dropped = quantize_matrix(samples, alpha).inside
+            assert not (previous & ~dropped).any()
             previous = dropped
 
     def test_mirroring_flips_bits_and_preserves_drops(self):
         rng = np.random.default_rng(13)
         for trial in range(50):
             # half-integer grid keeps samples safely off the thresholds
-            samples = rng.integers(-40, 40, size=80) / 2.0
+            samples = rng.integers(-40, 40, size=(2, 80)) / 2.0
             alpha = float(rng.choice([0.25, 0.5, 1.0]))
-            th = compute_thresholds(samples, alpha)
-            mirrored = 2.0 * th.mu - samples
-            th_m = compute_thresholds(mirrored, alpha)
-            assert th_m.mu == pytest.approx(th.mu)
-            assert th_m.sigma == pytest.approx(th.sigma)
-            drops = drop_indices(samples, th).indices.tolist()
-            drops_m = drop_indices(mirrored, th_m).indices.tolist()
-            assert drops == drops_m
-            kept = merge_kept(DropList(drops), DropList(drops), len(samples))
-            bits = extract_bits(samples, th, kept)
-            bits_m = extract_bits(mirrored, th_m, kept)
-            assert np.array_equal(bits.bits ^ 1, bits_m.bits)
+            q = quantize_matrix(samples, alpha)
+            mirrored = 2.0 * q.mu[:, None] - samples
+            q_m = quantize_matrix(mirrored, alpha)
+            assert q_m.mu == pytest.approx(q.mu)
+            assert q_m.sigma == pytest.approx(q.sigma)
+            assert np.array_equal(q.inside, q_m.inside)
+            bits = extract_streams(q, q.inside, q.inside)
+            bits_m = extract_streams(q_m, q.inside, q.inside)
+            for s, s_m in zip(bits, bits_m):
+                assert np.array_equal(s.bits ^ 1, s_m.bits)
 
 
 class TestTypes:
@@ -240,9 +260,3 @@ class TestTypes:
         c = BitStream([1, 0, 1], party="bob", stream=0)
         assert a == b
         assert a != c
-
-    def test_droplist_requires_strict_increase(self):
-        with pytest.raises(ConfigError):
-            DropList([1, 1, 2])
-        with pytest.raises(ConfigError):
-            DropList([3, 2])
