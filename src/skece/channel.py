@@ -19,7 +19,6 @@ emulation, large for per-subcarrier CSI).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import numbers
@@ -32,9 +31,13 @@ from .errors import ConfigError, TraceFormatError
 
 TRACE_HEADER = ["time", "subcarrier", "amplitude_db", "phase_rad"]
 _HEADER_LINE = ",".join(TRACE_HEADER)
+# the header ends in \r\n or \n, or ends a file that holds nothing else
+_HEADER_LINES = tuple(_HEADER_LINE.encode("ascii") + end for end in (b"\r\n", b"\n", b""))
 _ROW_DTYPE = np.dtype(
     [("time", "f8"), ("subcarrier", "i8"), ("amplitude_db", "f8"), ("phase_rad", "f8")]
 )
+# rows per np.loadtxt call: a refused file reads at most this many again one by one
+_CHUNK_ROWS = 16384
 
 # one probe exchange every PROBE_INTERVAL s; Bob reads HALF_DUPLEX_OFFSET s
 # after Alice, within the same exchange
@@ -445,158 +448,135 @@ def save_trace(trace: CsiTrace, path) -> None:
 
 
 def load_trace(path, party: str = "alice") -> CsiTrace:
-    """Parse a CSV trace file, enforcing the trace invariants.
+    """Read one party's trace from a file in the format ``save_trace`` writes.
 
-    Rows must be grouped by probe time with every subcarrier 0..m-1 present
-    exactly once per group, and times strictly increasing between groups.
-    Errors name the offending 1-based line number.
+    The header line, then rows of printable ASCII ending in ``\\r\\n`` or
+    ``\\n`` (the last may end the file instead, and empty lines may follow
+    it), which ``np.loadtxt`` reads as float, int, float, float. A probe's
+    rows share one time and list subcarriers ``0..m-1`` in order; times are
+    finite and rise strictly from probe to probe; amplitudes are finite.
 
-    A plain ASCII file with its rows in ``save_trace`` order is parsed by
-    one ``np.loadtxt`` call and checked on whole arrays. Every other file,
-    and every file those checks refuse, goes to the row-by-row parser, which
-    names the offending line or accepts what ``loadtxt`` cannot read (quoted
-    fields, digit underscores, subcarriers out of order), so both paths
-    accept the same files and return the same traces.
+    Any other file raises :class:`TraceFormatError` naming its first
+    offending 1-based line and the rule that line breaks. Rows are read a
+    chunk at a time; only a chunk that ``np.loadtxt`` refuses is read again,
+    row by row, to find that line.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
         body = fh.read()
-    trace = _load_plain(header, body, party)
-    return trace if trace is not None else _load_rows(header + body, party)
+    if header not in _HEADER_LINES:
+        got = header.rstrip(b"\n").decode("utf-8", "replace")
+        raise TraceFormatError(f"expected header {_HEADER_LINE}, got {got!r}", line=1)
+    # the data ends with the last row: empty lines after it are no part of it
+    end = len(body)
+    while body.endswith(b"\n", 0, end):
+        end -= 2 if body.endswith(b"\r\n", 0, end) else 1
+    if not end:
+        raise TraceFormatError("trace file contains no data rows", line=2)
+    raw = np.frombuffer(body, dtype=np.uint8, count=end)
+    # row k is body[edges[k] + 1 : edges[k + 1]]; the last runs on over the empty
+    # lines after it, which loadtxt skips, so one chunk can be the body itself
+    edges = np.concatenate(([-1], np.flatnonzero(raw == 0x0A), [len(body)]))
+    feeds = edges[1:-1]
 
-
-def _load_plain(header: bytes, body: bytes, party: str) -> CsiTrace | None:
-    """The numpy path of ``load_trace``: None where the row parser must decide."""
-    if header.rstrip(b"\r\n") != _HEADER_LINE.encode("ascii") or not body.isascii():
-        return None
-    raw = np.frombuffer(body, dtype=np.uint8)
-    breaks = np.flatnonzero(raw < 0x20)
-    if (
-        breaks.size == raw.size  # no data row, on which loadtxt warns
-        # numpy strips \x1c-\x1f around a number where float() refuses them
-        or not np.all((raw[breaks] == 0x0A) | (raw[breaks] == 0x0D))
-        # the csv module raises on a field longer than its size limit
-        or np.diff(breaks, prepend=-1, append=raw.size).max() > csv.field_size_limit()
-    ):
-        return None
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(body), delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE
+    # loadtxt skips empty lines and reads some control bytes as blanks, so
+    # rows map to lines only up to the first of these, and are read up to it
+    refusal = _first_bad_line(body, raw, feeds)
+    count = feeds.size + 1 if refusal is None else refusal.line - 2
+    rows, parse_refusal = _read_rows(body, edges, count)
+    refusal = parse_refusal or refusal
+    m = _check_probes(rows) if rows.size else 1
+    if refusal is not None:
+        raise refusal
+    if rows.size % m:
+        first = rows.size - rows.size % m
+        raise TraceFormatError(
+            f"probe at t={rows['time'][first]} has {rows.size % m} of {m} subcarriers",
+            line=first + 2,
         )
-    except ValueError:
-        return None
-
-    t = rows["time"]
-    # the first probe's rows are those before the first change of time
-    m = int(np.argmax(t != t[0])) or t.size
-    if t.size % m:
-        return None
-    grid = t.reshape(-1, m)
-    times = grid[:, 0]
-    amp = rows["amplitude_db"].reshape(-1, m)
-    if not (
-        np.all(np.isfinite(t))
-        and np.all(np.isfinite(amp))
-        and np.all(grid == times[:, None])
-        and np.all(rows["subcarrier"].reshape(-1, m) == np.arange(m))
-        and np.all(times[1:] > times[:-1])
-    ):
-        return None
-    # the row parser's layout: a C-ordered (n, m) matrix, transposed
+    # a C-ordered (n, m) matrix, transposed
     return CsiTrace(
         party=party,
-        times=times.copy(),
-        amplitude_db=np.ascontiguousarray(amp).T,
+        times=rows["time"][::m].copy(),
+        amplitude_db=np.ascontiguousarray(rows["amplitude_db"].reshape(-1, m)).T,
         phase_rad=np.ascontiguousarray(rows["phase_rad"].reshape(-1, m)).T,
     )
 
 
-def _load_rows(data: bytes, party: str) -> CsiTrace:
-    """The row-by-row parser of ``load_trace``, which names the line at fault.
+def _first_bad_line(body: bytes, raw: np.ndarray, feeds) -> TraceFormatError | None:
+    """The error for the first data line that is empty or holds a byte outside the format."""
+    found = []
+    crlf = raw[np.maximum(feeds - 1, 0)] == 0x0D  # the lines ending in \r\n
+    # beside printable ASCII, a line holds only its \n or \r\n ending
+    if not body.isascii() or np.count_nonzero(raw < 0x20) != feeds.size + crlf.sum():
+        bad = (raw < 0x20) | (raw > 0x7E)
+        bad[feeds] = bad[feeds[crlf] - 1] = False
+        at = np.argmax(bad)
+        message = f"byte {raw[at]:#04x} is neither printable ASCII nor a \\n or \\r\\n ending"
+        found.append((np.searchsorted(feeds, at) + 2, message))
+    # a line is empty if its feed directly follows the one before, or the \r right after it
+    gaps = np.diff(feeds, prepend=-1)
+    empty = (gaps == 1) | (gaps == 2) & crlf
+    if empty.any():
+        found.append((np.argmax(empty) + 2, "empty line before the last row"))
+    if not found:
+        return None
+    line, message = min(found)
+    return TraceFormatError(message, line=int(line))
 
-    ``data`` is decoded as ``open(path, newline="", encoding="utf-8")``
-    would decode the file it came from.
+
+def _read_rows(body: bytes, edges: np.ndarray, count: int):
+    """The first ``count`` rows, read ``_CHUNK_ROWS`` at a time by ``np.loadtxt``.
+
+    Returns the rows before the first one ``loadtxt`` refuses and the error
+    naming its line, or all ``count`` rows and None.
     """
-    times: list[float] = []
-    amp_rows: list[list[float]] = []
-    ph_rows: list[list[float]] = []
-    m = None
-
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    rows = np.empty(count, dtype=_ROW_DTYPE)
+    for first in range(0, count, _CHUNK_ROWS):
+        last = min(first + _CHUNK_ROWS, count)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError("empty trace file", line=1) from None
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceFormatError(
-                f"expected header {','.join(TRACE_HEADER)}, got {','.join(header)}",
-                line=1,
-            )
-
-        group_time = None
-        group_amp: dict[int, float] = {}
-        group_ph: dict[int, float] = {}
-        group_line = 2
-
-        def close_group(line_no):
-            nonlocal m
-            if not group_amp:
-                return
-            if m is None:
-                m = len(group_amp)
-            if sorted(group_amp) != list(range(m)):
-                raise TraceFormatError(
-                    f"probe at t={group_time} has subcarriers {sorted(group_amp)}, "
-                    f"expected 0..{m - 1}",
-                    line=line_no,
-                )
-            times.append(group_time)
-            amp_rows.append([group_amp[i] for i in range(m)])
-            ph_rows.append([group_ph[i] for i in range(m)])
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(
-                    f"expected 4 columns, got {len(row)}", line=line_no
-                )
-            try:
-                t = float(row[0])
-                sub = int(row[1])
-                amp = float(row[2])
-                ph = float(row[3])
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed row: {exc}", line=line_no) from None
-            if not math.isfinite(t):
-                raise TraceFormatError("time is not finite", line=line_no)
-            if not math.isfinite(amp):
-                raise TraceFormatError("amplitude is not finite", line=line_no)
-            if sub < 0:
-                raise TraceFormatError("negative subcarrier index", line=line_no)
-            if group_time is None or t != group_time:
-                close_group(line_no)
-                if times and t <= times[-1]:
-                    raise TraceFormatError(
-                        f"time {t} does not increase past {times[-1]}", line=line_no
+            rows[first:last] = _loadtxt(body, edges, first, last)
+        except ValueError:
+            for k in range(first, last):
+                try:
+                    rows[k : k + 1] = _loadtxt(body, edges, k, k + 1)
+                except ValueError:
+                    text = body[edges[k] + 1 : edges[k + 1]].decode("ascii").rstrip("\r\n")
+                    return rows[:k], TraceFormatError(
+                        f"expected {_HEADER_LINE} as float,int,float,float, got {text!r}",
+                        line=k + 2,
                     )
-                group_time = t
-                group_amp, group_ph = {}, {}
-                group_line = line_no
-            if sub in group_amp:
-                raise TraceFormatError(
-                    f"duplicate subcarrier {sub} at t={t}", line=line_no
-                )
-            group_amp[sub] = amp
-            group_ph[sub] = ph
-        close_group(group_line)
+    return rows, None
 
-    if not times:
-        raise TraceFormatError("trace file contains no data rows", line=2)
-    return CsiTrace(
-        party=party,
-        times=np.array(times),
-        amplitude_db=np.array(amp_rows).T,
-        phase_rad=np.array(ph_rows).T,
+
+def _loadtxt(body: bytes, edges: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Rows ``first`` to ``last - 1`` of the data, as one ``np.loadtxt`` call reads them."""
+    chunk = io.BytesIO(body[edges[first] + 1 : edges[last]])
+    return np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+
+
+def _check_probes(rows: np.ndarray) -> int:
+    """The subcarrier count m, after raising at the first row that breaks a probe rule."""
+    t, sub = rows["time"], rows["subcarrier"]
+    # the first probe's rows are those before the first change of time
+    m = int(np.argmax(t != t[0])) or t.size
+    place = np.arange(t.size) % m
+    probe_time = np.repeat(t[::m], m)[: t.size]
+    stalls = np.zeros(t.size, dtype=bool)
+    stalls[m::m] = ~(t[m::m] > t[:-m:m])
+    # at one row, the rule listed first names the fault
+    rules = (
+        (~np.isfinite(t), "time is not finite"),
+        (~np.isfinite(rows["amplitude_db"]), "amplitude is not finite"),
+        (stalls, "time {t} does not increase past {previous}"),
+        (t != probe_time, "time changes from {probe} to {t} after {place} of {m} subcarriers"),
+        (sub != place, "expected subcarrier {place} at t={probe}, got {sub}"),
     )
+    firsts = [int(np.argmax(mask)) if mask.any() else t.size for mask, _ in rules]
+    k = min(firsts)
+    if k < t.size:
+        message = rules[firsts.index(k)][1].format(
+            t=t[k], previous=t[k - m], probe=probe_time[k], place=place[k], m=m, sub=sub[k]
+        )
+        raise TraceFormatError(message, line=k + 2)
+    return m

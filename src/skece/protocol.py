@@ -21,6 +21,8 @@ and verdicts travel on the wire.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -169,15 +171,22 @@ class ProtocolParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.key_length < 1:
+        # each check is written so that a NaN, which compares false, fails it
+        for name in ("key_length", "max_rounds", "theta", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not self.key_length >= 1:
             raise ConfigError(f"key_length must be >= 1, got {self.key_length}")
-        if self.max_rounds < 0:
+        if not self.max_rounds >= 0:
             raise ConfigError(f"max_rounds must be >= 0, got {self.max_rounds}")
         if not 2 <= self.theta <= 0xFF:
             # a DIFF_VECTOR frame carries theta in one byte
             raise ConfigError(f"theta must lie in [2, 255], got {self.theta}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not self.rng_seed >= 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 < self.gamma < 1:
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
 
@@ -373,7 +382,9 @@ def reconcile_bit_streams(
 
     Takes both parties' extracted (and already length-capped) streams and
     runs tag validation plus, when needed, recombination rounds over the
-    given link. Each party reads the other only through decoded frames.
+    given link. Each party reads the other only through decoded frames and
+    decides from its own checks; where the two decisions diverge, the
+    session raises :class:`ProtocolError`.
     """
     m = len(streams_a)
     if m == 0:
@@ -404,11 +415,14 @@ def reconcile_bit_streams(
     if not isinstance(mask_a, np.ndarray) or mask_a.size != m:
         raise ProtocolError(f"expected a stream-mask verdict over {m} streams")
 
+    # each party keys on its own verdict: Alice on the mask she decodes, Bob on his own
     key = _stream_key(mask_a, streams_a, L)
+    peer = _stream_key(mask_b, streams_b, L)
     if key is not None:
-        peer = _stream_key(mask_b, streams_b, L)
         matched = {int(i): len(streams_a[i]) for i in np.flatnonzero(mask_a)}
         return result(key, peer, f"stream:{key.stream}", 0, matched)
+    if peer is not None:
+        raise ProtocolError(f"Bob keys on stream {peer.stream}, but Alice decodes no stream key")
 
     # difference-degree exchange: Alice publishes X and her residues,
     # Bob answers with his residues; each side weights the streams by its
@@ -444,6 +458,8 @@ def reconcile_bit_streams(
         verdict = decode_verdict(link.send(B_TO_A, MsgType.VERDICT, payload))
         if isinstance(verdict, np.ndarray):
             raise ProtocolError("expected a scalar round verdict, got a stream mask")
+        if ok_b and verdict != VERDICT_MATCH:
+            raise ProtocolError(f"Bob accepts round {round_no}, but Alice decodes a mismatch")
         if verdict == VERDICT_MATCH:
             picked = {int(i): int(k) for i, k in enumerate(picks_a) if k > 0}
             return result(cand_a, cand_b if ok_b else None, "recombination", round_no, picked)

@@ -105,8 +105,8 @@ def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
         raise ConfigError(f"need at least 2 samples, got {amplitudes.shape[1]}")
     if not np.all(np.isfinite(amplitudes)):
         raise ConfigError("samples contain non-finite values")
-    if not alpha >= 0:  # written so that a NaN alpha, which compares false, fails
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:  # written so that a NaN alpha, which compares false, fails
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     mu = amplitudes.mean(axis=1)
     sigma = amplitudes.std(axis=1)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
@@ -125,9 +125,10 @@ def keep_mask(drops_a, drops_b, shape) -> np.ndarray:
     """
     keep = np.ones(shape, dtype=bool)
     for name, drops in (("alice", drops_a), ("bob", drops_b)):
+        drops = np.asarray(drops, dtype=bool)
         if drops.shape != keep.shape:
             raise DesyncError(f"{name} drop mask is {drops.shape}, expected {keep.shape}")
-        keep &= ~drops.astype(bool, copy=False)
+        keep &= ~drops
     return keep
 
 

@@ -1,14 +1,18 @@
 import copy
 import csv
+import io
 import math
 import pickle
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skece import channel
 from skece.analysis import pearson
 from skece.channel import (
     ATTACK_DEPTH,
@@ -18,8 +22,6 @@ from skece.channel import (
     TRACE_HEADER,
     CsiTrace,
     _ar1,
-    _load_plain,
-    _load_rows,
     _wrap_phase,
     ScenarioConfig,
     load_trace,
@@ -360,20 +362,12 @@ def same_load(a: CsiTrace, b: CsiTrace) -> bool:
     )
 
 
-def numpy_path(path, party):
-    with open(path, "rb") as fh:
-        return _load_plain(fh.readline(), fh.read(), party)
-
-
-def row_parser(path, party):
-    return _load_rows(path.read_bytes(), party)
-
-
-def outcome(load, path):
-    try:
-        return load(path, "bob")
-    except Exception as exc:  # the two parsers must fail alike, whatever the exception
-        return type(exc), str(exc)
+def refused_line(path) -> int:
+    """The line ``load_trace`` names in the TraceFormatError it must raise."""
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    assert str(info.value).startswith(f"line {info.value.line}: ")
+    return info.value.line
 
 
 @pytest.fixture(scope="module")
@@ -393,14 +387,21 @@ class TestTraceFileFormat:
         loaded = load_trace(path, party=trace.party)
         assert loaded == trace
         assert bitwise_equal(loaded, trace)
-        # the numpy path reads every file save_trace writes, as the row parser does
-        assert same_load(numpy_path(path, trace.party), row_parser(path, trace.party))
+        # times are one contiguous vector, each matrix a C-ordered (n, m) one transposed
+        assert loaded.times.strides == (8,)
+        assert loaded.amplitude_db.strides == loaded.phase_rad.strides == (8, 8 * trace.m)
 
     def test_header_only_file_is_refused_without_a_warning(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,subcarrier,amplitude_db,phase_rad\r\n\r\n", newline="")
         with pytest.raises(TraceFormatError, match="line 2: trace file contains no data rows"):
             load_trace(path)
+
+    def test_empty_lines_after_the_last_row_and_a_last_row_without_an_ending_load(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for body in ["0.0,0,1.0,0.0\r\n1.0,0,2.0,0.0\r\n\r\n\n", "0.0,0,1.0,0.0\n1.0,0,2.0,0.0"]:
+            path.write_text("time,subcarrier,amplitude_db,phase_rad\r\n" + body, newline="")
+            assert load_trace(path).amplitude_db.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize(
         "body",
@@ -412,46 +413,68 @@ class TestTraceFileFormat:
             "0.0,0,10.0,0.0\r1.0,0,11.0,0.5\r",  # lone carriage returns
         ],
     )
-    def test_files_the_numpy_path_refuses_still_load(self, body, tmp_path):
+    def test_dialects_save_trace_does_not_write_are_refused(self, body, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,subcarrier,amplitude_db,phase_rad\r\n" + body, newline="")
-        assert numpy_path(path, "alice") is None
-        assert same_load(load_trace(path), row_parser(path, "alice"))
+        assert refused_line(path) == 2
 
     @pytest.mark.parametrize(
-        "body",
+        "body, line, rule",
         [
-            "0.0,0,10.0,0.0\r\ninf,0,11.0,0.5\r\n",  # non-finite time
-            "0.0,0,nan,0.0\r\n",  # non-finite amplitude
-            "0.0,-1,10.0,0.0\r\n",  # negative subcarrier
-            "0.0,0,10.0,0.0\r\n0.0,0,11.0,0.5\r\n",  # duplicate subcarrier
-            "0.0,0,1.0,0.0\r\n0.0,1,1.0,0.0\r\n1.0,0,1.0,0.0\r\n",  # uneven probes
-            # the time changes inside the second probe
-            "0.0,0,1.0,0.0\r\n0.0,1,1.0,0.0\r\n1.0,0,1.0,0.0\r\n2.0,1,1.0,0.0\r\n",
-            "1.0,0,10.0,0.0\r\n0.5,0,11.0,0.5\r\n",  # decreasing time
-            "0.0,0,10.0,0.0,1\r\n",  # five columns
-            "0.0,0,10.0,0.0\x1c\r\n",  # numpy strips \x1c around a number, float() does not
+            ("0.0,0,10.0,0.0\r\ninf,0,11.0,0.5\r\n", 3, "time is not finite"),
+            ("0.0,0,nan,0.0\r\n", 2, "amplitude is not finite"),
+            ("0.0,-1,10.0,0.0\r\n", 2, "expected subcarrier 0 at t=0.0, got -1"),
+            ("0.0,0,10.0,0.0\r\n0.0,0,11.0,0.5\r\n", 3, "expected subcarrier 1 at t=0.0, got 0"),
+            (
+                "0.0,0,1.0,0.0\r\n0.0,1,1.0,0.0\r\n1.0,0,1.0,0.0\r\n",
+                4,
+                "probe at t=1.0 has 1 of 2 subcarriers",
+            ),
+            (
+                "0.0,0,1.0,0.0\r\n0.0,1,1.0,0.0\r\n1.0,0,1.0,0.0\r\n2.0,1,1.0,0.0\r\n",
+                5,
+                "time changes from 1.0 to 2.0 after 1 of 2 subcarriers",
+            ),
+            ("1.0,0,10.0,0.0\r\n0.5,0,11.0,0.5\r\n", 3, "time 0.5 does not increase past 1.0"),
+            ("0.0,0,10.0,0.0,1\r\n", 2, "got '0.0,0,10.0,0.0,1'"),
+            # numpy reads \x1c around a number as a blank
+            ("0.0,0,10.0,0.0\x1c\r\n", 2, "byte 0x1c is neither printable ASCII"),
+            # loadtxt skips an empty line, so one would shift every later row's line
+            ("0.0,0,1.0,0.0\r\n\r\n1.0,0,1.0,0.0\r\n", 3, "empty line before the last row"),
+            ("\n0.0,0,1.0,0.0\n", 2, "empty line before the last row"),
+            ("0.0,0,1.0,0.0\r\n1.0,0,1.0,0.0\r", 3, "byte 0x0d is neither"),
+            ("0.0,0,1.0,0.0\r\n1.0,0,1.0,\x7f0.0\r\n", 3, "got '1.0,0,1.0,\\x7f0.0'"),
+            ("0.0,0,1.0,0.0\r\n1.0,0,1.0,\u00e90.0\r\n", 3, "byte 0xc3 is neither"),
+            # the first line at fault is named, whichever rule it breaks
+            ("0.0,0,1.0,0.0\r\n0.0,0,1.0,0.0\r\nx\r\n\x00\r\n", 3, "expected subcarrier 1"),
+            ("0.0,0,1.0,0.0\r\nx\r\n\x00\r\n", 3, "got 'x'"),
         ],
     )
-    def test_refused_files_raise_the_row_parsers_error(self, body, tmp_path):
+    def test_refused_files_name_the_line_and_the_rule(self, body, line, rule, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,subcarrier,amplitude_db,phase_rad\r\n" + body, newline="")
-        got = outcome(load_trace, path)
-        assert got[0] is TraceFormatError
-        assert got == outcome(row_parser, path)
+        with pytest.raises(TraceFormatError, match=f"^line {line}: .*{re.escape(rule)}"):
+            load_trace(path)
 
-    def test_field_over_the_csv_size_limit_is_refused_as_before(self, tmp_path):
+    def test_a_fault_past_the_first_chunk_names_its_line(self, tmp_path):
+        chunk = channel._CHUNK_ROWS
+        trace = simulate(small_config(m=3, probe_count=chunk)).alice  # three chunks of rows
         path = tmp_path / "t.csv"
-        path.write_text(
-            "time,subcarrier,amplitude_db,phase_rad\r\n0.0,0,10." + "0" * 80 + ",0.0\r\n",
-            newline="",
-        )
-        limit = csv.field_size_limit(64)
-        try:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
-                load_trace(path)
-        finally:
-            csv.field_size_limit(limit)
+        save_trace(trace, path)
+        lines = path.read_bytes().split(b"\r\n")
+        bad = 2 * chunk + 100  # lines[bad] is line bad + 1, in the third chunk
+        cases = [
+            ({bad: b"x"}, bad + 1),
+            ({bad: b"x", chunk: lines[chunk + 1]}, chunk + 1),  # a row copied over the one before
+            ({bad: b"x", bad + 500: b"\x00"}, bad + 1),
+            ({bad: b"x", bad - 900: b""}, bad - 899),
+        ]
+        for edits, line in cases:
+            damaged = list(lines)
+            for index, text in edits.items():
+                damaged[index] = text
+            path.write_bytes(b"\r\n".join(damaged))
+            assert refused_line(path) == line
 
 
 # replacement fields: valid, refused by both parsers, or read only by float()/int()
@@ -505,14 +528,75 @@ def damaged_files(draw) -> bytes:
     return data
 
 
-class TestLoaderMatchesTheRowParser:
+ROW_DTYPE = np.dtype(
+    [("time", "f8"), ("subcarrier", "i8"), ("amplitude_db", "f8"), ("phase_rad", "f8")]
+)
+HEADER = ",".join(TRACE_HEADER).encode("ascii")
+
+
+def strict_reference(data: bytes, party: str):
+    """The trace file format read one line at a time: the trace, or the line at fault.
+
+    ``np.loadtxt`` reads each line's numbers on its own; the probe rules are
+    checked in plain Python as each row arrives.
+    """
+    header, newline, body = data.partition(b"\n")
+    if header + newline not in (HEADER, HEADER + b"\n", HEADER + b"\r\n"):
+        return 1
+    pieces = body.split(b"\n")
+    # a line feed ends every piece but the last, with the \r before it
+    lines = [piece.removesuffix(b"\r") for piece in pieces[:-1]] + pieces[-1:]
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        return 2
+    rows, m = [], None
+    for k, line in enumerate(lines):
+        if not line or not all(0x20 <= byte < 0x7F for byte in line):
+            return k + 2
+        try:
+            (row,) = np.loadtxt(
+                io.BytesIO(line), delimiter=",", comments=None, ndmin=1, dtype=ROW_DTYPE
+            ).tolist()
+        except ValueError:
+            return k + 2
+        t, sub, amp, _ = row
+        if not (math.isfinite(t) and math.isfinite(amp)):
+            return k + 2
+        if m is None and rows and t != rows[0][0]:
+            m = k  # the first change of time ends the first probe
+        place = k if m is None else k % m
+        if place and t != rows[k - place][0]:
+            return k + 2
+        if not place and rows and not t > rows[k - m][0]:
+            return k + 2
+        if sub != place:
+            return k + 2
+        rows.append(row)
+    m = m or len(rows)
+    if len(rows) % m:
+        return len(rows) - len(rows) % m + 2
+    times, _, amp, phase = (np.array(column) for column in zip(*rows))
+    return CsiTrace(
+        party=party,
+        times=times[::m].copy(),
+        amplitude_db=amp.reshape(-1, m).T,
+        phase_rad=phase.reshape(-1, m).T,
+    )
+
+
+class TestLoaderMatchesAStrictReference:
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
-    @given(data=damaged_files())
-    def test_same_trace_or_same_error(self, data, work_dir):
+    @given(data=damaged_files(), chunk_rows=st.sampled_from([1, 2, 3, 4096]))
+    def test_same_trace_or_same_line(self, data, chunk_rows, work_dir):
         path = work_dir / "damaged.csv"
         path.write_bytes(data)
-        got, expected = outcome(load_trace, path), outcome(row_parser, path)
-        if isinstance(expected, CsiTrace):
-            assert isinstance(got, CsiTrace) and same_load(got, expected)
-        else:
-            assert got == expected
+        expected = strict_reference(data, "bob")
+        # small chunks put a chunk boundary before, at and after the line at fault
+        with mock.patch.object(channel, "_CHUNK_ROWS", chunk_rows):
+            if isinstance(expected, CsiTrace):
+                assert same_load(load_trace(path, "bob"), expected)
+            else:
+                with pytest.raises(TraceFormatError) as info:
+                    load_trace(path, "bob")
+                assert info.value.line == expected

@@ -223,6 +223,27 @@ class TestProtocolParams:
             with pytest.raises(ConfigError, match="theta"):
                 ProtocolParams(theta=theta)
 
+    @pytest.mark.parametrize("name", ["key_length", "max_rounds", "theta", "rng_seed"])
+    @pytest.mark.parametrize("value", [64.5, 3.5, 5.0, float("nan"), True, "5"])
+    def test_counts_and_the_seed_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ProtocolParams(**{name: value})
+
+    def test_numpy_integers_pass(self):
+        params = ProtocolParams(
+            key_length=np.int64(64), max_rounds=np.int32(3), theta=np.uint8(5), rng_seed=np.uint64(7)
+        )
+        assert (params.key_length, params.max_rounds, params.theta, params.rng_seed) == (64, 3, 5, 7)
+
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match="rng_seed must be >= 0"):
+            ProtocolParams(rng_seed=-1)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.1])
+    def test_alpha_must_be_finite_and_not_negative(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            ProtocolParams(alpha=alpha)
+
 
 class TestDirectMatch:
     def test_noiseless_traces_match_on_first_stream(self):
@@ -448,16 +469,14 @@ class TestReceiverActsOnTheWire:
         result, _ = run_key_agreement(traces, ProtocolParams(alpha=0.4, key_length=64, rng_seed=3))
         return traces, result
 
-    def test_all_mismatch_verdict_sends_alice_to_diff_vectors(self, monkeypatch):
+    def test_all_mismatch_verdict_while_bob_holds_a_stream_key_is_a_protocol_error(
+        self, monkeypatch
+    ):
         _, honest = self.session(monkeypatch, lambda d, t, p: p)
         assert honest.matched_via.startswith("stream:")
         no_match = encode_verdict_mask(np.zeros(6, dtype=bool))
-        _, result = self.session(
-            monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: no_match)
-        )
-        types = [m.msg_type for m in result.messages]
-        assert types[3:6] == [MsgType.VERDICT, MsgType.DIFF_VECTOR, MsgType.DIFF_VECTOR]
-        assert result.messages[3].payload == no_match
+        with pytest.raises(ProtocolError, match="Bob keys on stream 0"):
+            self.session(monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: no_match))
 
     def test_lost_bob_drop_changes_only_that_row_of_alices_streams(self, monkeypatch):
         seen = {}
@@ -513,6 +532,19 @@ class TestSessionRejectsInconsistentFrames:
         longer = encode_verdict_mask(np.zeros(6, dtype=bool))
         with pytest.raises(ProtocolError, match="stream-mask verdict over 5 streams"):
             self.reconcile(rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: longer))
+
+    def test_round_match_that_alice_decodes_as_a_mismatch(self):
+        honest = self.reconcile(lambda d, t, p: p)
+        assert (honest.matched_via, honest.rounds_used) == ("recombination", 1)
+        assert np.array_equal(honest.peer_key.bits, honest.key.bits)
+
+        def mismatch(d, t, payload):
+            if t == MsgType.VERDICT and payload == bytes([protocol.VERDICT_MATCH]):
+                return bytes([protocol.VERDICT_MISMATCH])
+            return payload
+
+        with pytest.raises(ProtocolError, match="round 1, but Alice decodes a mismatch"):
+            self.reconcile(mismatch)
 
     def test_verdict_of_the_wrong_kind(self):
         scalar = bytes([protocol.VERDICT_MATCH])

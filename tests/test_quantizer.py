@@ -93,6 +93,9 @@ class TestBand:
             ([[1.0, float("nan")]], 1.0),
             ([[1.0, 2.0]], -0.5),
             ([[1.0, 2.0]], float("nan")),
+            # an infinite band would make inf * 0 of a constant row's sigma
+            ([[1.0, 2.0]], float("inf")),
+            ([[3.0, 3.0]], float("inf")),
         ],
     )
     def test_rejects_bad_inputs(self, amplitudes, alpha):
@@ -104,6 +107,10 @@ class TestKeepMask:
     def test_simple_complement(self):
         keep = keep_mask(np.array([[1, 0, 0, 0]]), np.array([[0, 0, 1, 0]]), (1, 4))
         assert np.flatnonzero(keep[0]).tolist() == [1, 3]
+
+    def test_nested_lists_are_drop_masks_too(self):
+        assert keep_mask([[True]], [[False]], (1, 1)).tolist() == [[False]]
+        assert keep_mask([[0, 1, 0]], [[0, 0, 2]], (1, 3)).tolist() == [[True, False, False]]
 
     def test_empty_drops_keep_all(self):
         none = np.zeros((2, 5), dtype=bool)
