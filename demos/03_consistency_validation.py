@@ -21,7 +21,7 @@ twin[150] ^= 1
 r = validation.checking_length(0.98)
 tag = validation.make_tag(stream, r)
 frame = protocol.encode(
-    protocol.ProtocolMessage(protocol.MsgType.TAGS, protocol.encode_tags([tag], r))
+    protocol.ProtocolMessage(protocol.MsgType.TAGS, protocol.encode_tags([tag.tag], r))
 )
 print(f"\n6-bit tag of a 300-bit stream: {tag.tag.hex()} "
       f"(wire cost {len(frame)} bytes as a one-tag TAGS frame)")

@@ -47,8 +47,9 @@ DRIFT_CORR = 0.99  # lag-one correlation of the shared drift, per probe step
 BASE_AMPLITUDE_DB = 20.0
 ATTACK_DEPTH = 4.0  # dB of attenuation while the line of sight is blocked
 
-# simulate peaks at about nine float64 (m, n) matrices, so a scenario is capped
-# at m * probe_count samples per party: about 2 GB at 30 x 1,000,000
+# simulate, and the first read of what it leaves undone (see _LateDraws), each
+# peak at about nine float64 (m, n) matrices, so a scenario is capped at
+# m * probe_count samples per party: about 2 GB at 30 x 1,000,000
 MAX_SAMPLES = 30_000_000
 
 MOBILITY_PROCESS_STD = {"static": 2.0, "mobile": 5.0}
@@ -159,19 +160,23 @@ _LATE_FIELDS = ("amplitude_db", "phase_rad")
 
 
 class _LateDraws:
-    """The draws of one ``simulate`` call that no session reads, made on first read.
+    """What one ``simulate`` call leaves undone because no session reads it.
 
-    Eve's noise and the two phase walks come last in the generator stream,
-    so ``simulate`` stops before them and keeps the generator state and
-    Eve's latent matrix. The first read of any of these arrays draws all of
-    them, in the order ``simulate`` would have, from a generator restored to
-    that state: their values are a function of the snapshot alone, whatever
-    the order, thread or pickled copy that reads them.
+    No session reads Eve's channel or a phase. ``simulate`` draws Eve's
+    standard normals where they fall in the generator stream but leaves
+    their AR(1) filtering, their mix with the link process and Eve's latent
+    matrix to this class. Eve's noise and the two phase walks come last in
+    the stream, so ``simulate`` stops before them and keeps the generator
+    state. The first read of any of these arrays makes all of them, as
+    ``simulate`` would have, drawing from a generator restored to that
+    state: their values are a function of the snapshot alone, whatever the
+    order, thread or pickled copy that reads them.
     """
 
-    def __init__(self, rng_state: dict, latent_eve: np.ndarray, noise_std: float):
-        self.shape = latent_eve.shape
-        self._inputs = (rng_state, latent_eve, noise_std)
+    def __init__(self, rng_state: dict, config: ScenarioConfig, link: tuple, eve_normals: tuple):
+        """``link`` is the link's (drift, process); ``eve_normals`` the normals of Eve's own."""
+        self.shape = eve_normals[1].shape
+        self._inputs = (rng_state, config, link, eve_normals)
         self._arrays = None
         self._lock = threading.Lock()
 
@@ -183,23 +188,25 @@ class _LateDraws:
                 self._inputs = None
         return self._arrays[party, name]
 
-    def _draw(self, rng_state, latent_eve, noise_std) -> dict:
+    def _draw(self, rng_state, config, link, eve_normals) -> dict:
+        amplitude_eve = _latent_eve(config, link, eve_normals)
         rng = np.random.default_rng()
         rng.bit_generator.state = rng_state
         m, n = self.shape
-        noise_eve = rng.normal(0.0, noise_std, size=(m, n)) if noise_std else np.zeros((m, n))
+        if config.noise_std:
+            amplitude_eve += rng.normal(0.0, config.noise_std, size=(m, n))
         phase_link = _phase_walk(rng, (m, n))
         arrays = {
             ("alice", "phase_rad"): phase_link,
             ("bob", "phase_rad"): phase_link,
-            ("eve", "amplitude_db"): latent_eve + noise_eve,
+            ("eve", "amplitude_db"): amplitude_eve,
             ("eve", "phase_rad"): _phase_walk(rng, (m, n)),
         }
         for arr in arrays.values():
             if arr.shape != self.shape:
                 raise ConfigError("amplitude and phase must be equal (m, n) matrices")
             arr.setflags(write=False)
-        if not np.all(np.isfinite(arrays["eve", "amplitude_db"])):
+        if not np.all(np.isfinite(amplitude_eve)):
             raise ConfigError("amplitudes contain non-finite values")
         return arrays
 
@@ -247,6 +254,13 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        optional = ("attack_period", "process_std", "drift_std")  # None leaves them unset
+        for name in ("noise_std", "eve_correlation", *optional):
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.probe_count < 1:
@@ -314,20 +328,35 @@ class PairedTraceSet:
 
 def _ar1(rng: np.random.Generator, shape, std: float, corr: float) -> np.ndarray:
     """Stationary AR(1) noise over the last axis; corr=0 is the iid fast path."""
-    z = rng.standard_normal(shape)
+    return _ar1_filter(rng.standard_normal(shape), std, corr)
+
+
+def _ar1_filter(z: np.ndarray, std: float, corr: float) -> np.ndarray:
+    """:func:`_ar1` of the standard normals ``z`` it draws."""
     if std == 0.0:
-        return np.zeros(shape)
+        return np.zeros(z.shape)
     if corr == 0.0:
         return std * z
     innov = std * math.sqrt(1.0 - corr * corr)
     # stepping Python floats row by row costs no numpy call per step, and
     # each step rounds exactly as the same expression on arrays would
-    rows = z.reshape(-1, shape[-1]).tolist()
+    rows = z.reshape(-1, z.shape[-1]).tolist()
     for row in rows:
         prev = row[0] = std * row[0]
         for k in range(1, len(row)):
             prev = row[k] = corr * prev + innov * row[k]
-    return np.array(rows).reshape(shape)
+    return np.array(rows).reshape(z.shape)
+
+
+def _latent_eve(config: ScenarioConfig, link: tuple, eve_normals: tuple) -> np.ndarray:
+    """Eve's latent (m, n) amplitudes: her own AR(1) processes mixed with the link's."""
+    (drift_link, proc_link), (z_drift, z_proc) = link, eve_normals
+    rho = config.eve_correlation
+    mix = math.sqrt(max(0.0, 1.0 - rho * rho))
+    proc_eve = rho * proc_link + mix * _ar1_filter(z_proc, config.effective_process_std, 0.0)
+    drift_own = _ar1_filter(z_drift, config.effective_drift_std, DRIFT_CORR)
+    drift_eve = rho * drift_link + mix * drift_own
+    return BASE_AMPLITUDE_DB + drift_eve + proc_eve
 
 
 def _phase_walk(rng: np.random.Generator, shape) -> np.ndarray:
@@ -366,41 +395,38 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     half-duplex offset shifts only Bob's timestamps, and with them the
     attack wave he sees.
 
-    Only Alice's and Bob's amplitudes, which the quantizer reads, are drawn
-    here. Eve's noise and the phase walks come last in the generator stream
-    and are drawn the first time any of Alice's or Bob's phases or Eve's
-    amplitudes or phases is read, from a snapshot of the generator taken
-    after Bob's noise. Every array is the same whichever is read first, and
-    the same as had all been drawn here.
+    Only Alice's and Bob's amplitudes, which the quantizer reads, are made
+    here. Eve's standard normals are drawn in their place in the generator
+    stream, but turning them into her channel, and drawing her noise and
+    the phase walks, which come last in the stream, waits for the first
+    read of any of Alice's or Bob's phases or Eve's amplitudes or phases
+    (see ``_LateDraws``). Every array is the same whichever is read first,
+    and the same as had all been made here.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     m, n = config.m, config.probe_count
 
     drift_link = _ar1(rng, (n,), config.effective_drift_std, DRIFT_CORR)
-    drift_eve_own = _ar1(rng, (n,), config.effective_drift_std, DRIFT_CORR)
+    z_drift_eve = rng.standard_normal(n)
     # the link process is iid from one probe exchange to the next
     proc_link = _ar1(rng, (m, n), config.effective_process_std, 0.0)
-    proc_eve_own = _ar1(rng, (m, n), config.effective_process_std, 0.0)
+    z_proc_eve = rng.standard_normal((m, n))
     noise_alice = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
     noise_bob = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
-
-    rho = config.eve_correlation
-    mix = math.sqrt(max(0.0, 1.0 - rho * rho))
-    proc_eve = rho * proc_link + mix * proc_eve_own
-    drift_eve = rho * drift_link + mix * drift_eve_own
 
     times_alice = np.arange(n, dtype=np.float64) * PROBE_INTERVAL
     times_bob = times_alice + HALF_DUPLEX_OFFSET
 
     latent_link = BASE_AMPLITUDE_DB + drift_link + proc_link
     latent_alice = latent_bob = latent_link
-    latent_eve = BASE_AMPLITUDE_DB + drift_eve + proc_eve
 
     if config.attack_period is not None:
         latent_alice = latent_link + _attack_wave(times_alice, config.attack_period, ATTACK_DEPTH)
         latent_bob = latent_link + _attack_wave(times_bob, config.attack_period, ATTACK_DEPTH)
 
-    late = _LateDraws(rng.bit_generator.state, latent_eve, config.noise_std)
+    late = _LateDraws(
+        rng.bit_generator.state, config, (drift_link, proc_link), (z_drift_eve, z_proc_eve)
+    )
     alice = CsiTrace("alice", times_alice, latent_alice + noise_alice, late)
     bob = CsiTrace("bob", times_bob, latent_bob + noise_bob, late)
     eve = CsiTrace("eve", times_alice, late, late)

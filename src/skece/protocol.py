@@ -45,6 +45,7 @@ B_TO_A = "B->A"
 _FRAME = struct.Struct(">BI")
 _SEED = struct.Struct(">Q")
 _COUNT16 = struct.Struct(">H")
+_WORD = struct.Struct(">I")
 
 VERDICT_MISMATCH = 0
 VERDICT_MATCH = 1
@@ -176,6 +177,10 @@ class ProtocolParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not self.key_length >= 1:
             raise ConfigError(f"key_length must be >= 1, got {self.key_length}")
         if not self.max_rounds >= 0:
@@ -237,12 +242,14 @@ def encode_drop_lists(inside) -> bytes:
     m is 2 bytes; counts and indices are 4-byte words, all big-endian.
     """
     inside = np.asarray(inside, dtype=bool)
-    if inside.shape[0] > 0xFFFF:
-        raise WireFormatError(f"too many streams for the wire format: {inside.shape[0]}")
+    m, n = inside.shape
+    if m > 0xFFFF:
+        raise WireFormatError(f"too many streams for the wire format: {m}")
     counts = inside.sum(axis=1)
+    # row-major sample numbers modulo n are the column indices, row by row;
     # each row's count goes in front of that row's indices
-    words = np.insert(np.nonzero(inside)[1], np.cumsum(counts) - counts, counts)
-    return _COUNT16.pack(inside.shape[0]) + words.astype(">u4").tobytes()
+    words = np.insert(np.flatnonzero(inside) % n, np.cumsum(counts) - counts, counts)
+    return _COUNT16.pack(m) + words.astype(">u4").tobytes()
 
 
 def decode_drop_lists(payload: bytes, n: int) -> np.ndarray:
@@ -254,36 +261,45 @@ def decode_drop_lists(payload: bytes, n: int) -> np.ndarray:
     body = len(payload) - _COUNT16.size
     if body < 4 * m or body % 4:
         raise WireFormatError(f"{len(payload)}-byte drop-list payload cannot hold {m} streams")
-    words = np.frombuffer(payload, dtype=">u4", offset=_COUNT16.size).astype(np.int64)
-    is_index = np.ones(words.size, dtype=bool)
+    size = body // 4
+    # each count says how many index words follow it, up to the next count
+    at, counts = [], []
     pos = 0
     for _ in range(m):
-        if pos >= words.size:
+        if pos >= size:
             raise WireFormatError("drop-list payload truncated at a count")
-        is_index[pos] = False
-        pos += 1 + int(words[pos])
-    if pos != words.size:
+        (count,) = _WORD.unpack_from(payload, _COUNT16.size + 4 * pos)
+        at.append(pos)
+        counts.append(count)
+        pos += 1 + count
+    if pos != size:
         raise WireFormatError("drop-list counts disagree with the payload length")
-    cols = words[is_index]
+    is_index = np.ones(size, dtype=bool)
+    is_index[at] = False
+    cols = np.frombuffer(payload, dtype=">u4", offset=_COUNT16.size)[is_index].astype(np.int64)
     # row-major sample numbers increase strictly iff each row's indices do
-    flat = np.repeat(np.arange(m), words[~is_index]) * n + cols
+    flat = np.repeat(np.arange(m, dtype=np.int64) * n, counts) + cols
     if cols.size and (cols.max() >= n or np.any(flat[1:] <= flat[:-1])):
         raise WireFormatError(f"drop indices must increase strictly and stay below {n}")
-    inside = np.zeros((m, n), dtype=bool)
-    inside.flat[flat] = True
-    return inside
+    inside = np.zeros(m * n, dtype=bool)
+    inside[flat] = True
+    return inside.reshape(m, n)
 
 
 def encode_tags(tags, r: int) -> bytes:
-    body = bytearray(struct.pack(">BH", r, len(tags)))
-    for tag in tags:
-        if tag.r != r:
-            raise ProtocolError("aggregated tags must share one checking length")
-        body += tag.tag
-    return bytes(body)
+    """TAGS payload: r, the tag count, then each tag's (r + 7) // 8 bytes.
+
+    ``tags`` holds the tags' bytes, as :func:`validation.make_tags` returns
+    them or ``ValidationTag.tag`` holds them.
+    """
+    nbytes = (r + 7) // 8
+    if any(len(tag) != nbytes for tag in tags):
+        raise ProtocolError(f"aggregated tags must each hold {nbytes} bytes for r={r}")
+    return struct.pack(">BH", r, len(tags)) + b"".join(tags)
 
 
-def decode_tags(payload: bytes) -> list[validation.ValidationTag]:
+def decode_tags(payload: bytes) -> tuple[int, list[bytes]]:
+    """Inverse of :func:`encode_tags`: the checking length r and each tag's bytes."""
     if len(payload) < 3:
         raise WireFormatError("tags payload lacks its header")
     r, count = struct.unpack_from(">BH", payload)
@@ -301,10 +317,7 @@ def decode_tags(payload: bytes) -> list[validation.ValidationTag]:
         last_bytes = np.frombuffer(payload, dtype=np.uint8, offset=3)[nbytes - 1 :: nbytes]
         if np.any(last_bytes & ((1 << spare) - 1)):
             raise WireFormatError(f"tags for r={r} must leave their last {spare} bits zero")
-    return [
-        validation.ValidationTag(r=r, tag=payload[3 + i * nbytes : 3 + (i + 1) * nbytes])
-        for i in range(count)
-    ]
+    return r, [payload[k : k + nbytes] for k in range(3, expected, nbytes)]
 
 
 def encode_verdict_mask(mask) -> bytes:
@@ -341,10 +354,12 @@ def decode_verdict(payload: bytes):
     raise WireFormatError(f"unknown verdict kind {kind}")
 
 
-def _tags(payload: bytes, count: int) -> list[validation.ValidationTag]:
-    tags = decode_tags(payload)
+def _tags(payload: bytes, count: int, r: int) -> list[bytes]:
+    r_remote, tags = decode_tags(payload)
     if len(tags) != count:
         raise ProtocolError(f"TAGS message carries {len(tags)} tags, expected {count}")
+    if r_remote != r:
+        raise ProtocolError(f"checking-length disagreement: remote r={r_remote}, local r={r}")
     return tags
 
 
@@ -406,11 +421,10 @@ def reconcile_bit_streams(
         )
 
     # aggregated per-stream tags, one message, then one mask verdict back
-    payload = encode_tags([validation.make_tag(s, r) for s in streams_a], r)
-    tags_at_b = _tags(link.send(A_TO_B, MsgType.TAGS, payload), len(streams_b))
-    mask_b = np.array(
-        [validation.validate(tag, s, r) for tag, s in zip(tags_at_b, streams_b)], dtype=bool
-    )
+    payload = encode_tags(validation.make_tags(streams_a, r), r)
+    tags_at_b = _tags(link.send(A_TO_B, MsgType.TAGS, payload), len(streams_b), r)
+    own_b = validation.make_tags(streams_b, r)
+    mask_b = np.array([a == b for a, b in zip(tags_at_b, own_b)], dtype=bool)
     mask_a = decode_verdict(link.send(B_TO_A, MsgType.VERDICT, encode_verdict_mask(mask_b)))
     if not isinstance(mask_a, np.ndarray) or mask_a.size != m:
         raise ProtocolError(f"expected a stream-mask verdict over {m} streams")
@@ -419,6 +433,9 @@ def reconcile_bit_streams(
     key = _stream_key(mask_a, streams_a, L)
     peer = _stream_key(mask_b, streams_b, L)
     if key is not None:
+        if peer is None or peer.stream != key.stream:
+            held = "no stream key" if peer is None else f"stream {peer.stream}"
+            raise ProtocolError(f"Alice keys on stream {key.stream}, but Bob's own check gives {held}")
         matched = {int(i): len(streams_a[i]) for i in np.flatnonzero(mask_a)}
         return result(key, peer, f"stream:{key.stream}", 0, matched)
     if peer is not None:
@@ -451,18 +468,20 @@ def reconcile_bit_streams(
         plan_b = recombine.plan(seed_at_b, picks_b, lengths_b)
         cand_a = recombine.recombine(streams_a, plan_a)
         cand_b = recombine.recombine(streams_b, plan_b)
-        payload = encode_tags([validation.make_tag(cand_a, r)], r)
-        (tag_at_b,) = _tags(link.send(A_TO_B, MsgType.TAGS, payload), 1)
-        ok_b = validation.validate(tag_at_b, cand_b, r)
+        payload = encode_tags([validation.make_tag(cand_a, r).tag], r)
+        (tag_at_b,) = _tags(link.send(A_TO_B, MsgType.TAGS, payload), 1, r)
+        ok_b = validation.validate(validation.ValidationTag(r=r, tag=tag_at_b), cand_b, r)
         payload = bytes([VERDICT_MATCH if ok_b else VERDICT_MISMATCH])
         verdict = decode_verdict(link.send(B_TO_A, MsgType.VERDICT, payload))
         if isinstance(verdict, np.ndarray):
             raise ProtocolError("expected a scalar round verdict, got a stream mask")
         if ok_b and verdict != VERDICT_MATCH:
             raise ProtocolError(f"Bob accepts round {round_no}, but Alice decodes a mismatch")
-        if verdict == VERDICT_MATCH:
+        if verdict == VERDICT_MATCH and not ok_b:
+            raise ProtocolError(f"Bob rejects round {round_no}, but Alice decodes a match")
+        if ok_b:
             picked = {int(i): int(k) for i, k in enumerate(picks_a) if k > 0}
-            return result(cand_a, cand_b if ok_b else None, "recombination", round_no, picked)
+            return result(cand_a, cand_b, "recombination", round_no, picked)
 
     return result(None, None, None, params.max_rounds, {})
 

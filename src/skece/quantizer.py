@@ -42,6 +42,19 @@ class BitStream:
         if self.party is not None and self.party not in PARTIES:
             raise ConfigError(f"unknown party {self.party!r}")
 
+    @classmethod
+    def _unchecked(cls, bits: np.ndarray, party: str | None, stream: int | None) -> BitStream:
+        """A stream that skips ``__post_init__``: for callers that made its checks already.
+
+        ``bits`` must be a read-only one-dimensional uint8 array of 0s and 1s,
+        such as a slice of a read-only array that :func:`_as_bits` returned,
+        and ``party`` one of :data:`PARTIES` or None. :func:`split_streams`
+        checks all streams' bits with one scan and builds each stream here.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(bits=bits, party=party, stream=stream)
+        return obj
+
     def __len__(self) -> int:
         return int(self.bits.size)
 
@@ -67,7 +80,9 @@ def _as_bits(bits) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ConfigError("bit sequence must be one-dimensional")
-    if arr.dtype != np.uint8:
+    if arr.dtype == np.bool_:
+        arr = arr.astype(np.uint8)  # every bool is a bit
+    elif arr.dtype != np.uint8:
         # check before the cast, which would truncate 0.5 to 0 and wrap -1 to 255
         if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
             raise ConfigError("bit sequence must contain only 0 and 1")
@@ -133,11 +148,19 @@ def keep_mask(drops_a, drops_b, shape) -> np.ndarray:
 
 
 def split_streams(bits, keep, party: str | None = None, limit: int | None = None):
-    """Row i's bits at its kept samples as stream i, capped at ``limit`` bits."""
-    flat = np.asarray(bits)[keep].astype(np.uint8)
+    """Row i's bits at its kept samples as stream i, capped at ``limit`` bits.
+
+    ``bits`` and ``keep`` are (m, n) arrays. The kept bits of all rows are
+    checked for values other than 0 and 1 with one scan and made read-only
+    as one array; each stream is a slice of it.
+    """
+    if party is not None and party not in PARTIES:
+        raise ConfigError(f"unknown party {party!r}")
+    flat = _as_bits(np.asarray(bits)[keep])
+    flat.setflags(write=False)
     ends = np.cumsum(keep.sum(axis=1)).tolist()
     return [
-        BitStream(flat[start:end][:limit], party=party, stream=i)
+        BitStream._unchecked(flat[start:end][:limit], party, i)
         for i, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
 

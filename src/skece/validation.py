@@ -73,15 +73,39 @@ def sha1_digest(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()
 
 
-def make_tag(bits, r: int) -> ValidationTag:
-    """Tag a bit stream: leading ``r`` bits of SHA-1 over its canonical encoding."""
-    digest = sha1_digest(canonical_bit_encoding(bits))
+def make_tags(streams, r: int) -> list[bytes]:
+    """Tag every stream at once: leading ``r`` bits of SHA-1 over each canonical encoding.
+
+    Returns each stream's tag as the bytes a :class:`ValidationTag` holds.
+    The streams' bits go into one zero-filled matrix, a row per stream and
+    a whole number of bytes wide, which one ``np.packbits`` packs MSB-first.
+    Row i's first ceil(len_i / 8) bytes behind its 8-byte length header are
+    the stream's :func:`canonical_bit_encoding`, hashed with one SHA-1 each.
+    The matrix is as wide as the longest stream.
+    """
+    if not 1 <= r <= MAX_TAG_BITS:
+        raise ConfigError(f"r must be in [1, {MAX_TAG_BITS}], got {r}")
+    rows = [_as_bits(s) for s in streams]
+    lengths = [row.size for row in rows]
+    width = -(-max(lengths, default=0) // 8)
+    padded = np.zeros((len(rows), 8 * width), dtype=np.uint8)
+    if rows:
+        padded[np.arange(8 * width) < np.array(lengths)[:, None]] = np.concatenate(rows)
+    packed = np.packbits(padded, axis=1).tobytes()
     nbytes = (r + 7) // 8
-    head = bytearray(digest[:nbytes])
-    spare = 8 * nbytes - r
-    if spare:
-        head[-1] &= 0xFF << spare  # zero the unused trailing bits
-    return ValidationTag(r=r, tag=bytes(head))
+    # zero the unused trailing bits of each tag's last byte
+    last = 0xFF & (0xFF << (8 * nbytes - r))
+    tags = []
+    for i, n in enumerate(lengths):
+        start = i * width
+        digest = sha1_digest(_LEN_HEADER.pack(n) + packed[start : start + (n + 7) // 8])
+        tags.append(digest[: nbytes - 1] + bytes((digest[nbytes - 1] & last,)))
+    return tags
+
+
+def make_tag(bits, r: int) -> ValidationTag:
+    """Tag a bit stream: :func:`make_tags` of that one stream."""
+    return ValidationTag(r=r, tag=make_tags([bits], r)[0])
 
 
 def validate(tag_remote: ValidationTag, bits_local, r: int) -> bool:

@@ -173,6 +173,22 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "name", ["noise_std", "eve_correlation", "attack_period", "process_std", "drift_std"]
+    )
+    @pytest.mark.parametrize("value", ["0.3", True, [0.3], 0.3j])
+    def test_float_fields_must_be_real_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            small_config(**{name: value})
+
+    def test_none_unsets_only_the_optional_float_fields(self):
+        config = small_config(attack_period=None, process_std=None, drift_std=None)
+        assert config.effective_process_std == channel.MOBILITY_PROCESS_STD[config.mobility]
+        for name in ("noise_std", "eve_correlation"):
+            with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+                small_config(**{name: None})
+        assert small_config(noise_std=np.float32(0.5), eve_correlation=0).noise_std == 0.5
+
 
 class TestCsiTraceInvariants:
     def test_rejects_non_monotone_times(self):

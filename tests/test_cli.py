@@ -120,6 +120,18 @@ class TestFailures:
         assert record["command"] == "compare"
         assert "stream_length" in record["message"]
 
+    def test_scenario_file_with_a_quoted_number_produces_error_record(self, tmp_path, capsys):
+        scenario = {"name": "quoted", "alpha": 0.4, "config": {"m": 4, "noise_std": "0.3"}}
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code = run_cli(["extract", "--scenario", path, "--trials", "1", "--out", tmp_path / "x.csv"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "extract"
+        assert "noise_std must be a real number, got '0.3'" in record["message"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_output_produces_error_record(self, tmp_path, capsys):
         target = tmp_path / "dir"
         target.mkdir()

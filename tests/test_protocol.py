@@ -147,6 +147,32 @@ class TestPayloadCodecs:
             )
             assert encode_drop_lists(inside) == expected
 
+    @pytest.mark.parametrize(
+        "inside",
+        [
+            np.array([[True]]),
+            np.array([[False]]),
+            np.ones((1, 9), dtype=bool),
+            np.zeros((1, 9), dtype=bool),
+            np.array([[True] * 5, [False] * 5, [True] * 5]),
+            np.array([[False] * 4, [True, False, False, True], [False] * 4]),
+            np.zeros((3, 0), dtype=bool),
+            np.zeros((0, 7), dtype=bool),
+            np.random.default_rng(8).random((30, 300)) < 0.3,
+        ],
+        ids=["1x1-dropped", "1x1-kept", "row-all-dropped", "row-empty", "alternating-rows",
+             "empty-outer-rows", "no-samples", "no-streams", "30x300"],
+    )
+    def test_drop_lists_edge_shapes_match_a_nonzero_encoder_and_round_trip(self, inside):
+        expected = struct.pack(">H", inside.shape[0]) + b"".join(
+            struct.pack(">I", len(np.nonzero(row)[0])) + np.nonzero(row)[0].astype(">u4").tobytes()
+            for row in inside
+        )
+        payload = encode_drop_lists(inside)
+        assert payload == expected
+        decoded = decode_drop_lists(payload, inside.shape[1])
+        assert decoded.shape == inside.shape and np.array_equal(decoded, inside)
+
     def test_drop_lists_truncation(self):
         payload = encode_drop_lists([np.isin(np.arange(10), [1, 5, 9])])
         with pytest.raises(WireFormatError):
@@ -172,18 +198,20 @@ class TestPayloadCodecs:
             decode_drop_lists(b"\xff\xff" + bytes(8), 10**9)
 
     def test_tags_round_trip(self):
-        tags = [make_tag([1, 0, 1, i % 2], 6) for i in range(5)]
-        decoded = decode_tags(encode_tags(tags, 6))
-        assert [t.tag for t in decoded] == [t.tag for t in tags]
-        assert all(t.r == 6 for t in decoded)
+        tags = [make_tag([1, 0, 1, i % 2], 6).tag for i in range(5)]
+        assert decode_tags(encode_tags(tags, 6)) == (6, tags)
 
     @pytest.mark.parametrize("frame", [bytes([0, 0, 1]), bytes([200, 0, 1]) + bytes(25)])
     def test_tags_r_outside_the_digest_is_a_wire_error(self, frame):
         with pytest.raises(WireFormatError, match="outside"):
             decode_tags(frame)
 
+    def test_tags_encoder_refuses_a_tag_of_another_size(self):
+        with pytest.raises(ProtocolError, match="must each hold 1 bytes for r=6"):
+            encode_tags([bytes([0xFC]), bytes(2)], 6)
+
     def test_tags_length_mismatch(self):
-        payload = encode_tags([make_tag([1], 6)], 6)
+        payload = encode_tags([make_tag([1], 6).tag], 6)
         with pytest.raises(WireFormatError):
             decode_tags(payload + b"\x00")
 
@@ -207,7 +235,7 @@ class TestPayloadCodecs:
         assert decode_verdict(bytes([2, 0, 1, 0x80])).tolist() == [True]
         with pytest.raises(WireFormatError, match="padding"):
             decode_verdict(bytes([2, 0, 1, 0xFF]))
-        assert decode_tags(bytes([6, 0, 1, 0xFC]))[0].tag == bytes([0xFC])
+        assert decode_tags(bytes([6, 0, 1, 0xFC])) == (6, [bytes([0xFC])])
         with pytest.raises(WireFormatError, match="last 2 bits zero"):
             decode_tags(bytes([6, 0, 1, 0xFD]))
         x_block = bytes(7) + bytes([3, 0b1010_0000])
@@ -238,6 +266,17 @@ class TestProtocolParams:
     def test_seed_must_not_be_negative(self):
         with pytest.raises(ConfigError, match="rng_seed must be >= 0"):
             ProtocolParams(rng_seed=-1)
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value", ["0.4", None, True, b"0.4", 0.5j])
+    def test_float_fields_must_be_real_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            ProtocolParams(**{name: value})
+
+    def test_numpy_floats_and_integers_pass_as_floats(self):
+        params = ProtocolParams(alpha=np.float32(0.5), gamma=np.float64(0.9))
+        assert (params.alpha, params.gamma) == (0.5, 0.9)
+        assert ProtocolParams(alpha=1).alpha == 1
 
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.1])
     def test_alpha_must_be_finite_and_not_negative(self, alpha):
@@ -478,6 +517,15 @@ class TestReceiverActsOnTheWire:
         with pytest.raises(ProtocolError, match="Bob keys on stream 0"):
             self.session(monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: no_match))
 
+    def test_verdict_sending_alice_to_another_stream_than_bobs_is_a_protocol_error(
+        self, monkeypatch
+    ):
+        _, honest = self.session(monkeypatch, lambda d, t, p: p)
+        assert honest.matched_via == "stream:0"
+        only_stream_1 = encode_verdict_mask(np.arange(6) == 1)
+        with pytest.raises(ProtocolError, match="Alice keys on stream 1, but Bob's own check gives stream 0"):
+            self.session(monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: only_stream_1))
+
     def test_lost_bob_drop_changes_only_that_row_of_alices_streams(self, monkeypatch):
         seen = {}
         extract = quantizer.extract_streams
@@ -522,11 +570,19 @@ class TestSessionRejectsInconsistentFrames:
 
     def test_tags_count_other_than_m(self):
         def drop_last_tag(payload):
-            tags = decode_tags(payload)
-            return encode_tags(tags[:-1], tags[0].r)
+            r, tags = decode_tags(payload)
+            return encode_tags(tags[:-1], r)
 
         with pytest.raises(ProtocolError, match="4 tags, expected 5"):
             self.reconcile(rewrite_first(MsgType.TAGS, A_TO_B, drop_last_tag))
+
+    def test_tags_of_another_checking_length(self):
+        def r_16(payload):
+            r, tags = decode_tags(payload)
+            return encode_tags(tags, 16)  # gamma 0.9999 gives r=14, also two bytes a tag
+
+        with pytest.raises(ProtocolError, match="remote r=16, local r=14"):
+            self.reconcile(rewrite_first(MsgType.TAGS, A_TO_B, r_16))
 
     def test_stream_mask_of_wrong_length(self):
         longer = encode_verdict_mask(np.zeros(6, dtype=bool))
@@ -545,6 +601,28 @@ class TestSessionRejectsInconsistentFrames:
 
         with pytest.raises(ProtocolError, match="round 1, but Alice decodes a mismatch"):
             self.reconcile(mismatch)
+
+    def test_stream_match_that_bobs_own_check_rejected(self):
+        honest = self.reconcile(lambda d, t, p: p)
+        assert honest.matched_via == "recombination"  # Bob's own mask matches no stream
+        stream_0 = encode_verdict_mask(np.arange(5) == 0)
+        with pytest.raises(ProtocolError, match="Alice keys on stream 0, but Bob's own check gives no stream key"):
+            self.reconcile(rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: stream_0))
+
+    def test_round_match_that_bobs_own_check_rejected(self):
+        sent = []
+
+        def reject_then_claim_a_match(d, t, payload):
+            # the second TAGS frame is round 1's tag: a flipped bit makes Bob reject it
+            sent.append(t)
+            if t == MsgType.TAGS and sent.count(MsgType.TAGS) == 2:
+                return payload[:-1] + bytes([payload[-1] ^ 0x80])
+            if t == MsgType.VERDICT and payload == bytes([protocol.VERDICT_MISMATCH]):
+                return bytes([protocol.VERDICT_MATCH])
+            return payload
+
+        with pytest.raises(ProtocolError, match="Bob rejects round 1, but Alice decodes a match"):
+            self.reconcile(reject_then_claim_a_match)
 
     def test_verdict_of_the_wrong_kind(self):
         scalar = bytes([protocol.VERDICT_MATCH])
@@ -607,7 +685,7 @@ def well_sized_payloads(draw, name):
 
 
 REENCODERS = {
-    "decode_tags": lambda tags, payload: encode_tags(tags, payload[0]),
+    "decode_tags": lambda decoded, payload: encode_tags(decoded[1], decoded[0]),
     "decode_verdict": lambda verdict, payload: (
         encode_verdict_mask(verdict) if isinstance(verdict, np.ndarray) else bytes([verdict])
     ),

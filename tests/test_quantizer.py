@@ -11,6 +11,7 @@ from skece.quantizer import (
     merge_kept,
     quantize_matrix,
     quantize_stream,
+    split_streams,
 )
 
 
@@ -179,6 +180,41 @@ class TestExtractStreams:
                 assert np.flatnonzero(keep[i]).tolist() == kept
                 assert streams_a[i] == BitStream(bits[0], "alice", i)
                 assert streams_b[i] == BitStream(bits[1][: n // 3], "bob", i)
+
+
+class TestSplitStreams:
+    def test_streams_are_read_only_slices_of_the_kept_bits(self):
+        bits = np.array([[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
+        keep = np.array([[True, True, False, True], [False] * 4, [True] * 4])
+        streams = split_streams(bits, keep, party="bob", limit=3)
+        assert streams == [
+            BitStream([1, 0, 1], "bob", 0), BitStream([], "bob", 1), BitStream([1, 1, 1], "bob", 2)
+        ]
+        for s in streams:
+            assert s.bits.dtype == np.uint8 and not s.bits.flags.writeable
+            with pytest.raises(ValueError):
+                s.bits[:1] = 0
+        bits[0, 0] = 0  # the streams do not share the caller's array
+        assert streams[0].bits[0] == 1
+
+    def test_bools_become_bits(self):
+        keep = np.ones((2, 3), dtype=bool)
+        streams = split_streams(np.array([[True, False, True], [False] * 3]), keep)
+        assert [s.to01() for s in streams] == ["101", "000"]
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, 255])
+    def test_non_bits_are_refused(self, bad):
+        bits = np.zeros((2, 4))
+        bits[1, 2] = bad
+        keep = np.ones((2, 4), dtype=bool)
+        with pytest.raises(ConfigError, match="only 0 and 1"):
+            split_streams(bits.astype(np.uint8) if bad == 255 else bits, keep)
+        keep[1, 2] = False  # a value nobody keeps is never read
+        assert [len(s) for s in split_streams(bits, keep)] == [4, 3]
+
+    def test_unknown_party_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown party"):
+            split_streams(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), party="mallory")
 
 
 class TestOneRowDelegates:

@@ -232,7 +232,7 @@ def assert_rounds_follow_reference(result, streams_a, streams_b, params):
         cand_a = reference_candidate(streams_a, seed, allocations[0])
         cand_b = reference_candidate(streams_b, seed, allocations[1])
         tag, verdict = messages[i + 1], messages[i + 2]
-        assert tag.payload == encode_tags([make_tag(cand_a, r)], r)
+        assert tag.payload == encode_tags([make_tag(cand_a, r).tag], r)
         match = make_tag(cand_b, r) == make_tag(cand_a, r)
         assert verdict.payload == bytes([VERDICT_MATCH if match else VERDICT_MISMATCH])
     if result.matched_via == "recombination":

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from skece.validation import (
     canonical_bit_encoding,
     checking_length,
     make_tag,
+    make_tags,
     sha1_digest,
     validate,
 )
@@ -115,6 +117,52 @@ class TestMakeTag:
             ValidationTag(r=6, tag=b"\x00\x00")
 
 
+def reference_tag(bits, r: int) -> bytes:
+    """Leading r bits of SHA-1 over the 8-byte bit count and the bits packed MSB-first."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    packed = bytes(
+        int("".join(map(str, bits[k : k + 8].tolist())).ljust(8, "0"), 2)
+        for k in range(0, bits.size, 8)
+    )
+    digest = hashlib.sha1(struct.pack(">Q", bits.size) + packed).digest()
+    value = int.from_bytes(digest, "big") >> (160 - r) << (-r % 8)
+    return value.to_bytes((r + 7) // 8, "big")
+
+
+class TestMakeTags:
+    @pytest.mark.parametrize("r", [1, 6, 8, 9, 160])
+    def test_every_length_up_to_300_in_one_call(self, r):
+        rng = np.random.default_rng(r)
+        streams = [rng.integers(0, 2, n, dtype=np.uint8) for n in range(301)]
+        order = rng.permutation(len(streams))  # longer and shorter rows side by side
+        tags = make_tags([streams[k] for k in order], r)
+        assert tags == [reference_tag(streams[k], r) for k in order]
+
+    @pytest.mark.parametrize("r", [1, 6, 8, 9, 160])
+    def test_one_stream_calls_are_make_tags_of_one_stream(self, r):
+        rng = np.random.default_rng(100 + r)
+        for n in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 300):
+            bits = rng.integers(0, 2, n, dtype=np.uint8)
+            assert make_tag(bits, r) == ValidationTag(r=r, tag=make_tags([bits], r)[0])
+            assert make_tag(bits, r).tag == reference_tag(bits, r)
+            assert validate(ValidationTag(r=r, tag=reference_tag(bits, r)), bits, r)
+
+    def test_empty_list_and_every_input_form(self):
+        assert make_tags([], 6) == []
+        bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
+        forms = [bits, np.array(bits, dtype=bool), np.array(bits), BitStream(bits, "bob", 3)]
+        assert make_tags(forms, 9) == [reference_tag(bits, 9)] * 4
+
+    @pytest.mark.parametrize("r", [0, 161])
+    def test_r_outside_the_digest_is_refused(self, r):
+        with pytest.raises(ConfigError, match="r must be in"):
+            make_tags([[1, 0]], r)
+
+    def test_non_bits_are_refused(self):
+        with pytest.raises(ConfigError, match="only 0 and 1"):
+            make_tags([[0, 1], [0, 2]], 6)
+
+
 class TestValidate:
     def test_identical_streams_match(self):
         bits = np.random.default_rng(3).integers(0, 2, 300, dtype=np.uint8)
@@ -145,7 +193,7 @@ class TestTagWire:
     def test_round_trip(self):
         for r in (1, 5, 6, 8, 13, 160):
             tag = make_tag([1, 0, 1], r=r)
-            assert decode_tags(encode_tags([tag], r)) == [tag]
+            assert decode_tags(encode_tags([tag.tag], r)) == (r, [tag.tag])
 
     def test_wire_errors(self):
         with pytest.raises(WireFormatError):
