@@ -28,10 +28,8 @@ from .errors import (
 )
 from .quantizer import (
     BitStream,
-    extract_bits,
     extract_streams,
     keep_mask,
-    merge_kept,
     quantize_matrix,
 )
 from .validation import ValidationTag, checking_length, make_tag, validate
@@ -73,8 +71,7 @@ __all__ = [
     "CsiTrace", "PairedTraceSet", "ScenarioConfig", "load_trace", "save_trace", "simulate",
     "ConfigError", "DesyncError", "InsufficientBitsError", "ProtocolError",
     "SkeceError", "TraceFormatError", "WireFormatError",
-    "BitStream", "extract_bits", "extract_streams", "keep_mask", "merge_kept",
-    "quantize_matrix",
+    "BitStream", "extract_streams", "keep_mask", "quantize_matrix",
     "ValidationTag", "checking_length", "make_tag", "validate",
     "allocate", "difference_degree", "edit_distance", "plan", "success_probability",
     "weights",

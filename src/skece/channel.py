@@ -52,11 +52,6 @@ ATTACK_DEPTH = 4.0  # dB of attenuation while the line of sight is blocked
 # m * probe_count samples per party: about 2 GB at 30 x 1,000,000
 MAX_SAMPLES = 30_000_000
 
-MOBILITY_PROCESS_STD = {"static": 2.0, "mobile": 5.0}
-# kept small relative to the per-subcarrier variation so the shared drift
-# does not imprint serial structure on the quantized bits
-MOBILITY_DRIFT_STD = {"static": 0.1, "mobile": 0.25}
-
 
 @dataclass(frozen=True)
 class CsiTrace:
@@ -230,23 +225,25 @@ def _freeze(values) -> None:
 class ScenarioConfig:
     """Simulator parameters; presets A-F are bundled instances of this.
 
-    ``mobility`` selects the default AR(1) innovation scale per probe step;
-    ``process_std`` and ``drift_std`` override it. ``eve_correlation``
-    mixes Eve's otherwise independent process with the link process.
-    ``attack_period`` enables the periodic line-of-sight blocking wave.
-    The probe timing, drift correlation, base amplitude and attack depth
-    are the module constants.
+    ``process_std`` and ``drift_std`` are the AR(1) innovation scales, in
+    dB per probe step, of each subcarrier's process and of the shared slow
+    drift; the defaults are a mobile link's, and a static link varies less.
+    The drift spread is kept small relative to the process spread so the
+    shared drift does not imprint serial structure on the quantized bits.
+    ``eve_correlation`` mixes Eve's otherwise independent process with the
+    link process. ``attack_period`` enables the periodic line-of-sight
+    blocking wave. The probe timing, drift correlation, base amplitude and
+    attack depth are the module constants.
     """
 
     m: int = 30
     probe_count: int = 300
-    mobility: str = "mobile"
     noise_std: float = 0.3
     eve_correlation: float = 0.0
     attack_period: float | None = None
     rng_seed: int = 0
-    process_std: float | None = None
-    drift_std: float | None = None
+    process_std: float = 5.0
+    drift_std: float = 0.25
 
     def __post_init__(self):
         # each check is written so that a NaN, which compares false, fails it
@@ -254,11 +251,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        optional = ("attack_period", "process_std", "drift_std")  # None leaves them unset
-        for name in ("noise_std", "eve_correlation", *optional):
+        for name in ("noise_std", "eve_correlation", "attack_period", "process_std", "drift_std"):
             value = getattr(self, name)
-            if value is None and name in optional:
-                continue
+            if value is None and name == "attack_period":
+                continue  # no attack
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.m < 1:
@@ -270,8 +266,6 @@ class ScenarioConfig:
                 f"m x probe_count is {self.m} x {self.probe_count}, above the "
                 f"{MAX_SAMPLES} samples a scenario may hold"
             )
-        if self.mobility not in MOBILITY_PROCESS_STD:
-            raise ConfigError(f"mobility must be static or mobile, got {self.mobility!r}")
         if not self.noise_std >= 0:
             raise ConfigError("noise_std must be >= 0")
         if not abs(self.eve_correlation) <= 1:
@@ -280,22 +274,10 @@ class ScenarioConfig:
             raise ConfigError("attack_period must be positive when set")
         if not 0 <= self.rng_seed < 2**64:
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
-        if self.process_std is not None and not self.process_std >= 0:
+        if not self.process_std >= 0:
             raise ConfigError("process_std must be >= 0")
-        if self.drift_std is not None and not self.drift_std >= 0:
+        if not self.drift_std >= 0:
             raise ConfigError("drift_std must be >= 0")
-
-    @property
-    def effective_process_std(self) -> float:
-        if self.process_std is not None:
-            return self.process_std
-        return MOBILITY_PROCESS_STD[self.mobility]
-
-    @property
-    def effective_drift_std(self) -> float:
-        if self.drift_std is not None:
-            return self.drift_std
-        return MOBILITY_DRIFT_STD[self.mobility]
 
 
 @dataclass(frozen=True)
@@ -353,8 +335,8 @@ def _latent_eve(config: ScenarioConfig, link: tuple, eve_normals: tuple) -> np.n
     (drift_link, proc_link), (z_drift, z_proc) = link, eve_normals
     rho = config.eve_correlation
     mix = math.sqrt(max(0.0, 1.0 - rho * rho))
-    proc_eve = rho * proc_link + mix * _ar1_filter(z_proc, config.effective_process_std, 0.0)
-    drift_own = _ar1_filter(z_drift, config.effective_drift_std, DRIFT_CORR)
+    proc_eve = rho * proc_link + mix * _ar1_filter(z_proc, config.process_std, 0.0)
+    drift_own = _ar1_filter(z_drift, config.drift_std, DRIFT_CORR)
     drift_eve = rho * drift_link + mix * drift_own
     return BASE_AMPLITUDE_DB + drift_eve + proc_eve
 
@@ -406,10 +388,10 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     m, n = config.m, config.probe_count
 
-    drift_link = _ar1(rng, (n,), config.effective_drift_std, DRIFT_CORR)
+    drift_link = _ar1(rng, (n,), config.drift_std, DRIFT_CORR)
     z_drift_eve = rng.standard_normal(n)
     # the link process is iid from one probe exchange to the next
-    proc_link = _ar1(rng, (m, n), config.effective_process_std, 0.0)
+    proc_link = _ar1(rng, (m, n), config.process_std, 0.0)
     z_proc_eve = rng.standard_normal((m, n))
     noise_alice = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))
     noise_bob = rng.normal(0.0, config.noise_std, size=(m, n)) if config.noise_std else np.zeros((m, n))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -30,6 +31,13 @@ class Scenario:
     alpha: float
     config: channel.ScenarioConfig
 
+    def __post_init__(self):
+        # written so that a NaN, which compares false, fails the check
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+
     def with_seed(self, rng_seed: int) -> "Scenario":
         return replace(self, config=replace(self.config, rng_seed=rng_seed))
 
@@ -46,7 +54,7 @@ def _scenario_from_dict(data: dict, fallback_name: str) -> Scenario:
         return Scenario(
             name=data.get("name", fallback_name),
             description=data.get("description", ""),
-            alpha=float(data.get("alpha", 0.4)),
+            alpha=data.get("alpha", 0.4),
             config=cfg,
         )
     except (TypeError, ValueError) as exc:

@@ -37,6 +37,8 @@ class BitStream:
 
     def __post_init__(self):
         bits = _as_bits(self.bits)
+        if bits.flags.writeable and (bits is self.bits or bits.base is not None):
+            bits = bits.copy()  # the caller's own array or buffer stays theirs to write
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         if self.party is not None and self.party not in PARTIES:

@@ -126,9 +126,9 @@ class TestSimulate:
             r = pearson(traces.alice.amplitude_db[i], traces.eve.amplitude_db[i])
             assert abs(r - 0.9) < 0.05
 
-    def test_mobility_ordering_per_step_variance(self):
-        static = simulate(small_config(mobility="static", probe_count=4000))
-        mobile = simulate(small_config(mobility="mobile", probe_count=4000))
+    def test_process_spread_ordering_per_step_variance(self):
+        static = simulate(small_config(process_std=2.0, probe_count=4000))
+        mobile = simulate(small_config(process_std=5.0, probe_count=4000))
         var_static = np.var(np.diff(static.alice.amplitude_db, axis=1))
         var_mobile = np.var(np.diff(mobile.alice.amplitude_db, axis=1))
         assert var_mobile > var_static
@@ -161,7 +161,6 @@ class TestSimulate:
             dict(eve_correlation=1.5),
             dict(noise_std=-1.0),
             dict(attack_period=0.0),
-            dict(mobility="flying"),
             dict(noise_std=math.nan),
             dict(eve_correlation=math.nan),
             dict(attack_period=math.nan),
@@ -181,10 +180,9 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=f"{name} must be a real number"):
             small_config(**{name: value})
 
-    def test_none_unsets_only_the_optional_float_fields(self):
-        config = small_config(attack_period=None, process_std=None, drift_std=None)
-        assert config.effective_process_std == channel.MOBILITY_PROCESS_STD[config.mobility]
-        for name in ("noise_std", "eve_correlation"):
+    def test_none_unsets_only_attack_period(self):
+        assert small_config(attack_period=None).attack_period is None
+        for name in ("noise_std", "eve_correlation", "process_std", "drift_std"):
             with pytest.raises(ConfigError, match=f"{name} must be a real number"):
                 small_config(**{name: None})
         assert small_config(noise_std=np.float32(0.5), eve_correlation=0).noise_std == 0.5

@@ -41,8 +41,8 @@ def eager_simulate(config):
         walk = start + np.cumsum(walk_steps, axis=1)
         return np.mod(walk + math.pi, 2.0 * math.pi) - math.pi
 
-    drift = (config.effective_drift_std, channel.DRIFT_CORR)
-    process = (config.effective_process_std, 0.0)
+    drift = (config.drift_std, channel.DRIFT_CORR)
+    process = (config.process_std, 0.0)
     drift_link = channel._ar1(rng, (n,), *drift)
     drift_eve_own = channel._ar1(rng, (n,), *drift)
     proc_link = channel._ar1(rng, (m, n), *process)

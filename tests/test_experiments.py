@@ -17,11 +17,11 @@ class TestScenarios:
             assert sc.config.eve_correlation == 0.0
             assert sc.alpha in (0.4, 0.7)
 
-    def test_mobility_matches_alpha_defaults(self):
-        # mobile scenarios quantize at 0.4, static at 0.7
+    def test_process_spread_matches_alpha_defaults(self):
+        # mobile scenarios (process spread 5.0) quantize at 0.4, static (2.0) at 0.7
         for name in experiments.PRESET_NAMES:
             sc = experiments.load_scenario(name)
-            expected = 0.4 if sc.config.mobility == "mobile" else 0.7
+            expected = {2.0: 0.7, 5.0: 0.4}[sc.config.process_std]
             assert sc.alpha == expected
 
     def test_attack_preset_has_period(self):
@@ -35,12 +35,12 @@ class TestScenarios:
                 {
                     "name": "mine",
                     "alpha": 0.5,
-                    "config": {"m": 3, "probe_count": 10, "mobility": "static"},
+                    "config": {"m": 3, "probe_count": 10, "process_std": 2.0},
                 }
             )
         )
         sc = experiments.load_scenario(str(path))
-        assert sc.name == "mine" and sc.config.m == 3
+        assert sc.name == "mine" and sc.config.m == 3 and sc.config.process_std == 2.0
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,7 +48,7 @@ class TestScenarios:
 
     def test_scenario_config_has_exactly_its_fields(self):
         assert [f.name for f in fields(channel.ScenarioConfig)] == [
-            "m", "probe_count", "mobility", "noise_std", "eve_correlation",
+            "m", "probe_count", "noise_std", "eve_correlation",
             "attack_period", "rng_seed", "process_std", "drift_std",
         ]
 
@@ -69,7 +69,12 @@ MALFORMED_SCENARIOS = {
     "float_rng_seed": (scenario_text(rng_seed=1.0), "rng_seed must be an integer"),
     "bool_rng_seed": (scenario_text(rng_seed=False), "rng_seed must be an integer"),
     "alpha_not_a_number": ('{"alpha": "x", "config": {}}', "malformed"),
+    "alpha_numeric_string": ('{"alpha": "0.4", "config": {}}', "alpha must be a real number"),
+    "alpha_bool": ('{"alpha": true, "config": {}}', "alpha must be a real number"),
+    "alpha_negative": ('{"alpha": -0.1, "config": {}}', "alpha must be finite and >= 0"),
+    "alpha_nan": ('{"alpha": NaN, "config": {}}', "alpha must be finite and >= 0"),
     "removed_field": (scenario_text(probe_interval=0.1), "probe_interval"),
+    "removed_mobility": (scenario_text(mobility="static"), "mobility"),
     "removed_fields": (scenario_text(preset="C", attack_depth=4.0), "attack_depth, preset"),
 }
 

@@ -158,7 +158,7 @@ def test_alpha_sweep_rows():
 README_SCENARIO = {
     "name": "mine",
     "alpha": 0.4,
-    "config": {"m": 30, "probe_count": 300, "mobility": "mobile", "noise_std": 0.5, "rng_seed": 1},
+    "config": {"m": 30, "probe_count": 300, "noise_std": 0.5, "rng_seed": 1},
 }
 
 # C, then every other bundled scenario at seed 0 and the README's scenario at

@@ -49,7 +49,6 @@ def clean_config(**overrides):
     base = dict(
         m=6,
         probe_count=400,
-        mobility="mobile",
         noise_std=0.3,
         process_std=5.0,
         drift_std=0.2,

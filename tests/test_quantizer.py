@@ -303,3 +303,22 @@ class TestTypes:
         c = BitStream([1, 0, 1], party="bob", stream=0)
         assert a == b
         assert a != c
+
+    def test_bitstream_leaves_the_callers_array_writeable(self):
+        a = np.array([1, 0, 1], dtype=np.uint8)
+        s = BitStream(a)
+        assert a.flags.writeable and not s.bits.flags.writeable
+        a[0] = 0
+        assert s.to01() == "101"
+
+    def test_bitstream_of_a_row_does_not_alias_the_matrix(self):
+        g = np.zeros((2, 4), dtype=np.uint8)
+        s = BitStream(g[0])
+        g[0, 0] = 1
+        assert g.flags.writeable and s.to01() == "0000"
+
+    def test_bitstream_of_a_buffer_does_not_alias_it(self):
+        buf = bytearray(b"\x00\x01")
+        s = BitStream(buf)
+        buf[0] = 1
+        assert s.to01() == "01"
