@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .protocol import A_TO_B, B_TO_A, Link, MsgType
+from .errors import ConfigError, check_integer
+from .protocol import A_TO_B, B_TO_A, Link, MessageCounters, MsgType
 from .quantizer import BitStream, _as_bits
 
 _BISECT_REQ = struct.Struct(">BII")
@@ -36,24 +36,22 @@ class CascadeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.initial_block_size < 1:
-            raise ConfigError("initial_block_size must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        check_integer("initial_block_size", self.initial_block_size, 1)
+        check_integer("rounds", self.rounds, 1)
+        check_integer("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)
 class ReconciliationOutcome:
     corrected: BitStream
-    messages_a_to_b: int
-    messages_b_to_a: int
+    counters: MessageCounters
     bits_leaked: int
     converged: bool
     transcript: list
 
     @property
     def messages_sent(self) -> int:
-        return self.messages_a_to_b + self.messages_b_to_a
+        return self.counters.total_messages
 
 
 def _block_parities(bits: np.ndarray, block: int) -> np.ndarray:
@@ -123,8 +121,7 @@ def cascade_reconcile(a, b, cfg: CascadeConfig) -> ReconciliationOutcome:
     corrected = BitStream(bits_b, *origin)
     return ReconciliationOutcome(
         corrected=corrected,
-        messages_a_to_b=sum(1 for m in link.transcript if m.direction == A_TO_B),
-        messages_b_to_a=sum(1 for m in link.transcript if m.direction == B_TO_A),
+        counters=MessageCounters.from_transcript(link.transcript),
         bits_leaked=leaked,
         converged=converged,
         transcript=link.transcript,

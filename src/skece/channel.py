@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, TraceFormatError
+from .errors import ConfigError, TraceFormatError, check_integer, check_real
 
 TRACE_HEADER = ["time", "subcarrier", "amplitude_db", "phase_rad"]
 _HEADER_LINE = ",".join(TRACE_HEADER)
@@ -197,10 +196,7 @@ class _LateDraws:
             ("eve", "amplitude_db"): amplitude_eve,
             ("eve", "phase_rad"): _phase_walk(rng, (m, n)),
         }
-        for arr in arrays.values():
-            if arr.shape != self.shape:
-                raise ConfigError("amplitude and phase must be equal (m, n) matrices")
-            arr.setflags(write=False)
+        _freeze(arrays.values())
         if not np.all(np.isfinite(amplitude_eve)):
             raise ConfigError("amplitudes contain non-finite values")
         return arrays
@@ -246,38 +242,19 @@ class ScenarioConfig:
     drift_std: float = 0.25
 
     def __post_init__(self):
-        # each check is written so that a NaN, which compares false, fails it
-        for name in ("m", "probe_count", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("noise_std", "eve_correlation", "attack_period", "process_std", "drift_std"):
-            value = getattr(self, name)
-            if value is None and name == "attack_period":
-                continue  # no attack
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.probe_count < 1:
-            raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
+        check_integer("m", self.m, 1)
+        check_integer("probe_count", self.probe_count, 1)
+        check_integer("rng_seed", self.rng_seed, 0, 2**64 - 1)
+        for name in ("noise_std", "process_std", "drift_std"):
+            check_real(name, getattr(self, name), 0)
+        check_real("eve_correlation", self.eve_correlation, -1, 1)
+        if self.attack_period is not None:  # None: no attack
+            check_real("attack_period", self.attack_period, 0, low_open=True)
         if int(self.m) * int(self.probe_count) > MAX_SAMPLES:
             raise ConfigError(
                 f"m x probe_count is {self.m} x {self.probe_count}, above the "
                 f"{MAX_SAMPLES} samples a scenario may hold"
             )
-        if not self.noise_std >= 0:
-            raise ConfigError("noise_std must be >= 0")
-        if not abs(self.eve_correlation) <= 1:
-            raise ConfigError("eve_correlation must lie in [-1, 1]")
-        if self.attack_period is not None and not self.attack_period > 0:
-            raise ConfigError("attack_period must be positive when set")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ConfigError("rng_seed must be an unsigned 64-bit integer")
-        if not self.process_std >= 0:
-            raise ConfigError("process_std must be >= 0")
-        if not self.drift_std >= 0:
-            raise ConfigError("drift_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -346,21 +323,7 @@ def _phase_walk(rng: np.random.Generator, shape) -> np.ndarray:
     start = rng.uniform(-math.pi, math.pi, size=(shape[0], 1))
     steps = rng.normal(0.0, 0.1, size=shape)
     steps[:, 0] = 0.0
-    return _wrap_phase(start + np.cumsum(steps, axis=1))
-
-
-def _wrap_phase(walk: np.ndarray) -> np.ndarray:
-    """``np.mod(walk + pi, 2 pi) - pi``, bit for bit, computed in place in ``walk``.
-
-    np.mod is fmod plus the divisor where the remainder is below zero; it
-    also turns a -0.0 remainder into +0.0, which subtracting pi makes -pi
-    either way.
-    """
-    walk += math.pi
-    np.fmod(walk, 2.0 * math.pi, out=walk)
-    np.add(walk, 2.0 * math.pi, out=walk, where=walk < 0)
-    walk -= math.pi
-    return walk
+    return np.mod(start + np.cumsum(steps, axis=1) + math.pi, 2 * math.pi) - math.pi
 
 
 def _attack_wave(times: np.ndarray, period: float, depth: float) -> np.ndarray:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, cascade, channel, protocol, quantizer
-from .errors import ConfigError, InsufficientBitsError
+from .errors import ConfigError, InsufficientBitsError, check_integer, check_real
 from .quantizer import BitStream
 
 PRESET_NAMES = ("A", "B", "C", "D", "E", "F")
@@ -32,11 +31,7 @@ class Scenario:
     config: channel.ScenarioConfig
 
     def __post_init__(self):
-        # written so that a NaN, which compares false, fails the check
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
-        if not 0 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        check_real("alpha", self.alpha, 0)
 
     def with_seed(self, rng_seed: int) -> "Scenario":
         return replace(self, config=replace(self.config, rng_seed=rng_seed))
@@ -142,8 +137,8 @@ def alpha_sweep(
     scenario: Scenario, alphas, trials: int, base_seed: int = 0
 ) -> list[dict]:
     """Mean per-stream bit category counts for each alpha over seeded trials."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_integer("trials", trials, 1)
+    check_integer("base_seed", base_seed, 0)
     alphas = list(alphas)
     totals = [{"ignored": 0.0, "mismatched": 0.0, "matched": 0.0} for _ in alphas]
     # one simulation per trial serves every alpha; each alpha sums its
@@ -183,10 +178,9 @@ def overhead_comparison(
     recombination rounds; the single-stream Cascade baseline (16-bit first
     blocks, 4 rounds) gets e mismatches over its own ``stream_length`` bits.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if stream_length < 1:
-        raise ConfigError(f"stream_length must be >= 1, got {stream_length}")
+    check_integer("trials", trials, 1)
+    check_integer("base_seed", base_seed, 0)
+    check_integer("stream_length", stream_length, 1)
     m = 30
     rows = []
     for t in range(trials):
@@ -268,8 +262,8 @@ def randomness_battery(
     min_bits: int = 10_000,
 ) -> list[dict]:
     """The four-test battery on freshly generated keys, per scenario and run."""
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
+    check_integer("runs", runs, 1)
+    check_integer("base_seed", base_seed, 0)
     rows = []
     for name in scenario_names:
         scenario = load_scenario(name) if isinstance(name, str) else name

@@ -21,8 +21,6 @@ and verdicts travel on the wire.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -36,6 +34,8 @@ from .errors import (
     InsufficientBitsError,
     ProtocolError,
     WireFormatError,
+    check_integer,
+    check_real,
 )
 from .quantizer import BitStream
 
@@ -172,28 +172,13 @@ class ProtocolParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # each check is written so that a NaN, which compares false, fails it
-        for name in ("key_length", "max_rounds", "theta", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not self.key_length >= 1:
-            raise ConfigError(f"key_length must be >= 1, got {self.key_length}")
-        if not self.max_rounds >= 0:
-            raise ConfigError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if not 2 <= self.theta <= 0xFF:
-            # a DIFF_VECTOR frame carries theta in one byte
-            raise ConfigError(f"theta must lie in [2, 255], got {self.theta}")
-        if not self.rng_seed >= 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not 0 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.gamma < 1:
-            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
+        check_integer("key_length", self.key_length, 1)
+        check_integer("max_rounds", self.max_rounds, 0)
+        # a DIFF_VECTOR frame carries theta in one byte
+        check_integer("theta", self.theta, 2, 0xFF)
+        check_integer("rng_seed", self.rng_seed, 0)
+        check_real("alpha", self.alpha, 0)
+        check_real("gamma", self.gamma, 0, 1, low_open=True, high_open=True)
 
 
 @dataclass(frozen=True)

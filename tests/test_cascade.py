@@ -50,6 +50,24 @@ class TestBasics:
         assert len(bisects) == 4  # 2 message pairs
         assert out.messages_sent == 2 + 4 + 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(initial_block_size=0),
+            dict(initial_block_size=4.0),
+            dict(rounds=0),
+            dict(rounds=2.5),
+            dict(rounds=None),
+            dict(rounds=True),
+            dict(rng_seed=-1),
+            dict(rng_seed="1"),
+        ],
+    )
+    def test_invalid_configs_rejected(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            CascadeConfig(**overrides)
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ConfigError):
             cascade_reconcile(
@@ -83,8 +101,7 @@ class TestBasics:
         out = cascade_reconcile(a, b, CascadeConfig(rng_seed=3))
         a_to_b = sum(1 for m in out.transcript if m.direction == A_TO_B)
         b_to_a = sum(1 for m in out.transcript if m.direction == B_TO_A)
-        assert out.messages_a_to_b == a_to_b
-        assert out.messages_b_to_a == b_to_a
+        assert out.counters.by_direction == {A_TO_B: a_to_b, B_TO_A: b_to_a}
         assert out.messages_sent == len(out.transcript)
 
     def test_leaked_bits_counted(self):

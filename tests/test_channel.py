@@ -22,7 +22,6 @@ from skece.channel import (
     TRACE_HEADER,
     CsiTrace,
     _ar1,
-    _wrap_phase,
     ScenarioConfig,
     load_trace,
     rss_emulation,
@@ -55,38 +54,6 @@ class TestAr1:
 
     def test_zero_std_is_silent(self):
         assert not _ar1(np.random.default_rng(0), (2, 5), 0.0, 0.9).any()
-
-
-class TestWrapPhase:
-    @staticmethod
-    def np_mod_wrap(walk):
-        return np.mod(walk + math.pi, 2.0 * math.pi) - math.pi
-
-    def test_matches_np_mod_on_edge_values(self):
-        turns = np.array([1.0, 2.0, 3.0, 7.0, 1e6, 2.0**40])
-        edge = np.concatenate(
-            [
-                [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300],
-                turns * 2.0 * math.pi,
-                -turns * 2.0 * math.pi,
-                # walk + pi lands on a multiple of 2 pi
-                turns * 2.0 * math.pi - math.pi,
-                -turns * 2.0 * math.pi - math.pi,
-                [math.pi, -math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(-math.pi, -4.0)],
-            ]
-        )
-        expected = self.np_mod_wrap(edge)
-        assert _wrap_phase(edge.copy()).tobytes() == expected.tobytes()
-
-    def test_matches_np_mod_on_walks(self):
-        # 1.2M values of the random walks simulate wraps, from 40 seeds
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            walk = rng.uniform(-math.pi, math.pi, (30, 1)) + np.cumsum(
-                rng.normal(0.0, 0.1 * (1 + seed % 5), (30, 1000)), axis=1
-            )
-            expected = self.np_mod_wrap(walk)
-            assert _wrap_phase(walk).tobytes() == expected.tobytes()
 
 
 class TestSimulate:
@@ -166,10 +133,15 @@ class TestSimulate:
             dict(attack_period=math.nan),
             dict(process_std=math.nan),
             dict(drift_std=math.nan),
+            dict(noise_std=math.inf),
+            dict(process_std=math.inf),
+            dict(drift_std=math.inf),
+            dict(attack_period=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
-        with pytest.raises(ConfigError):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=f"^{name} must"):
             small_config(**overrides)
 
     @pytest.mark.parametrize(

@@ -112,13 +112,19 @@ class TestFailures:
         assert record["command"] == "extract"
         assert "NOPE" in record["message"]
 
-    def test_zero_key_length_produces_error_record(self, tmp_path, capsys):
-        code = run_cli(["compare", "--key-length", "0", "--trials", "1", "--out", tmp_path / "x"])
+    @pytest.mark.parametrize(
+        "flag, value, words",
+        [("--key-length", "0", "stream_length"), ("--seed", "-1", "base_seed must be >= 0")],
+        ids=["key_length", "seed"],
+    )
+    def test_bad_compare_value_produces_error_record(self, flag, value, words, tmp_path, capsys):
+        code = run_cli(["compare", flag, value, "--trials", "1", "--out", tmp_path / "x"])
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert record["command"] == "compare"
-        assert "stream_length" in record["message"]
+        assert words in record["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_scenario_file_with_a_quoted_number_produces_error_record(self, tmp_path, capsys):
         scenario = {"name": "quoted", "alpha": 0.4, "config": {"m": 4, "noise_std": "0.3"}}

@@ -182,6 +182,45 @@ class TestOverheadComparison:
         assert a == b
 
 
+# driver calls with a bad count or seed, and the argument each must name;
+# each is refused before anything is simulated
+BAD_DRIVER_ARGUMENTS = {
+    "sweep_fractional_trials": (
+        lambda: experiments.alpha_sweep(experiments.load_scenario("C"), [0.4], trials=2.5),
+        "trials",
+    ),
+    "sweep_negative_seed": (
+        lambda: experiments.alpha_sweep(experiments.load_scenario("C"), [0.4], 1, base_seed=-1),
+        "base_seed",
+    ),
+    "battery_fractional_runs": (lambda: experiments.randomness_battery(["C"], runs=1.5), "runs"),
+    "battery_float_seed": (
+        lambda: experiments.randomness_battery(["C"], runs=1, base_seed=0.0),
+        "base_seed",
+    ),
+    "comparison_fractional_length": (
+        lambda: experiments.overhead_comparison(trials=1, stream_length=2.5),
+        "stream_length",
+    ),
+    "comparison_bool_trials": (lambda: experiments.overhead_comparison(trials=True), "trials"),
+    "comparison_negative_seed": (
+        lambda: experiments.overhead_comparison(trials=1, base_seed=-1),
+        "base_seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DRIVER_ARGUMENTS))
+def test_drivers_refuse_bad_counts_and_seeds(case, monkeypatch):
+    def simulate(cfg):
+        raise AssertionError("simulated before checking its arguments")
+
+    monkeypatch.setattr(experiments.channel, "simulate", simulate)
+    call, name = BAD_DRIVER_ARGUMENTS[case]
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        call()
+
+
 # Probe counts at every preset alpha and every default sweep alpha, as the
 # normal-model keep rate sized them when it came from scipy's erfc. Each is a
 # ceil of a real number, so an erfc one ulp off could move a count, and with
