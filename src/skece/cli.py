@@ -111,10 +111,12 @@ def cmd_compare(args) -> int:
     med_s = statistics.median(r["skece_messages"] for r in rows)
     med_c = statistics.median(r["cascade_messages"] for r in rows)
     within = sum(r["skece_messages"] <= 10 for r in rows) / len(rows)
+    unequal = sum(r["skece_succeeded"] and not r["skece_keys_equal"] for r in rows)
     print(
         f"median messages: skece={med_s} cascade={med_c}; "
         f"skece within 10 messages in {within:.1%} of trials"
     )
+    print(f"skece successes with unequal keys: {unequal} of {len(rows)} trials")
     print(f"wrote {trials_path} and {cdf_path}")
     return 0
 

@@ -216,6 +216,8 @@ def overhead_comparison(
                 "errors": e,
                 "skece_messages": outcome.counters.total_messages,
                 "skece_succeeded": outcome.succeeded,
+                "skece_keys_equal": outcome.key is not None
+                and np.array_equal(outcome.key.bits, outcome.peer_key.bits),
                 "cascade_messages": cas.messages_sent,
                 "cascade_equal": bool(np.array_equal(cas.corrected.bits, base)),
             }
@@ -236,6 +238,7 @@ def key_material(scenario: Scenario, seed: int, min_bits: int = 10_000) -> BitSt
     session, and joins the matched streams' bits (both parties hold the
     identical material).
     """
+    check_integer("min_bits", min_bits, 1)
     n = probes_for_bits(scenario.alpha, scenario.config.m, min_bits)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)
     traces = channel.simulate(cfg)
@@ -264,6 +267,7 @@ def randomness_battery(
     """The four-test battery on freshly generated keys, per scenario and run."""
     check_integer("runs", runs, 1)
     check_integer("base_seed", base_seed, 0)
+    check_integer("min_bits", min_bits, 1)
     rows = []
     for name in scenario_names:
         scenario = load_scenario(name) if isinstance(name, str) else name
@@ -327,6 +331,7 @@ def eve_independence(
     Eve's guesses read only the two DROP_LIST frames, so the session stops
     after that exchange; its streams for Alice are the reference.
     """
+    check_integer("bits_per_stream", bits_per_stream, 1)
     keep = keep_rate_estimate(scenario.alpha)
     n = _probe_count(bits_per_stream * 1.3, keep, scenario.alpha, scenario.config.m)
     cfg = replace(scenario.config, probe_count=n, rng_seed=seed)

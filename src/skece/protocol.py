@@ -306,12 +306,7 @@ def decode_tags(payload: bytes) -> tuple[int, list[bytes]]:
 
 
 def encode_verdict_mask(mask) -> bytes:
-    mask = np.asarray(mask, dtype=np.uint8)
-    return (
-        bytes([VERDICT_STREAM_MASK])
-        + _COUNT16.pack(mask.size)
-        + np.packbits(mask).tobytes()
-    )
+    return bytes([VERDICT_STREAM_MASK]) + validation.encode_bit_block(mask, _COUNT16)
 
 
 def decode_verdict(payload: bytes):
@@ -324,18 +319,10 @@ def decode_verdict(payload: bytes):
             raise WireFormatError("scalar verdict must be a single byte")
         return kind
     if kind == VERDICT_STREAM_MASK:
-        if len(payload) < 1 + _COUNT16.size:
-            raise WireFormatError("stream-mask verdict lacks its count")
-        (m,) = _COUNT16.unpack_from(payload, 1)
-        nbytes = (m + 7) // 8
-        if len(payload) != 1 + _COUNT16.size + nbytes:
-            raise WireFormatError("stream-mask verdict has the wrong mask size")
-        bits = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, offset=1 + _COUNT16.size)
-        )
-        if bits[m:].any():
-            raise WireFormatError("stream-mask verdict has nonzero padding bits")
-        return bits[:m].astype(bool)
+        bits, end = validation.decode_bit_block(payload, 1, _COUNT16)
+        if end != len(payload):
+            raise WireFormatError("stream-mask verdict has bytes after its mask")
+        return bits.astype(bool)
     raise WireFormatError(f"unknown verdict kind {kind}")
 
 

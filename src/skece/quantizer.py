@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DesyncError
+from .errors import ConfigError, DesyncError, check_real
 
 PARTIES = ("alice", "bob", "eve")
 
@@ -122,8 +122,7 @@ def quantize_matrix(amplitudes, alpha: float) -> MatrixQuantization:
         raise ConfigError(f"need at least 2 samples, got {amplitudes.shape[1]}")
     if not np.all(np.isfinite(amplitudes)):
         raise ConfigError("samples contain non-finite values")
-    if not 0 <= alpha < np.inf:  # written so that a NaN alpha, which compares false, fails
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    check_real("alpha", alpha, 0)
     mu = amplitudes.mean(axis=1)
     sigma = amplitudes.std(axis=1)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):

@@ -32,10 +32,9 @@ import numpy as np
 
 from .errors import ConfigError, DesyncError, InsufficientBitsError, WireFormatError
 from .quantizer import BitStream, _as_bits
-from .validation import canonical_bit_encoding
+from .validation import CANONICAL_COUNT, canonical_bit_encoding, decode_bit_block
 
 _DIFF_HEADER = struct.Struct(">BH")
-_LEN_HEADER = struct.Struct(">Q")
 
 
 def edit_distance(a, b) -> int:
@@ -298,20 +297,12 @@ def decode_diff_vector(payload: bytes) -> tuple[int, np.ndarray, np.ndarray]:
     if theta < 2:
         raise WireFormatError(f"diff vector theta must be >= 2, got {theta}")
     off = _DIFF_HEADER.size
-    if len(payload) < off + m + _LEN_HEADER.size:
+    if len(payload) < off + m:
         raise WireFormatError("diff vector truncated inside the residue block")
     d = np.frombuffer(payload, dtype=np.uint8, count=m, offset=off).astype(np.int64)
     if d.size and d.max() >= theta:
         raise WireFormatError(f"diff vector residues must lie in [0, {theta})")
-    off += m
-    (nbits,) = _LEN_HEADER.unpack_from(payload, off)
-    off += _LEN_HEADER.size
-    nbytes = (nbits + 7) // 8
-    if len(payload) != off + nbytes:
-        raise WireFormatError(
-            f"diff vector X block expects {nbytes} bytes, got {len(payload) - off}"
-        )
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=off))
-    if bits[nbits:].any():
-        raise WireFormatError("diff vector X block has nonzero padding bits")
-    return theta, d, bits[:nbits]
+    bits, end = decode_bit_block(payload, off + m, CANONICAL_COUNT)
+    if end != len(payload):
+        raise WireFormatError("diff vector has bytes after its X block")
+    return theta, d, bits

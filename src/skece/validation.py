@@ -12,18 +12,18 @@ bits suffice to detect a mismatch with probability at least ``gamma``.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, WireFormatError
 from .quantizer import _as_bits
 
 MAX_TAG_BITS = 160  # SHA-1 digest length
 
-_LEN_HEADER = struct.Struct(">Q")
+# the bit count that leads a canonical encoding
+CANONICAL_COUNT = struct.Struct(">Q")
 
 
 @dataclass(frozen=True)
@@ -43,29 +43,47 @@ class ValidationTag:
 
 
 def checking_length(gamma: float) -> int:
-    """Smallest r with 1 - (1/2)**r >= gamma."""
+    """Smallest r with 1 - (1/2)**r >= gamma: at most 53, as no float below 1 exceeds 1 - 2**-53."""
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must lie strictly in (0, 1), got {gamma}")
-    r = max(1, math.ceil(math.log2(1.0 / (1.0 - gamma))))
-    # guard the ceil against floating-point edges
+    r = 1
     while 1.0 - 0.5**r < gamma:
         r += 1
-    while r > 1 and 1.0 - 0.5 ** (r - 1) >= gamma:
-        r -= 1
-    if r > MAX_TAG_BITS:
-        raise ConfigError(f"gamma={gamma} needs r={r} > {MAX_TAG_BITS} digest bits")
     return r
 
 
-def canonical_bit_encoding(bits) -> bytes:
-    """Length-prefixed byte encoding of a bit sequence.
-
-    8-byte big-endian bit count, then the bits packed MSB-first with the
-    final partial byte zero-padded. The length prefix keeps streams of
-    different lengths from colliding trivially.
-    """
+def encode_bit_block(bits, count: struct.Struct) -> bytes:
+    """The bit count packed by ``count``, then the bits MSB-first, the last byte zero-padded."""
     bits = _as_bits(bits)
-    return _LEN_HEADER.pack(bits.size) + np.packbits(bits).tobytes()
+    return count.pack(bits.size) + np.packbits(bits).tobytes()
+
+
+def decode_bit_block(payload: bytes, offset: int, count: struct.Struct) -> tuple[np.ndarray, int]:
+    """Inverse of :func:`encode_bit_block` at ``offset``: the bits and the offset past them.
+
+    The claimed bit count is checked against the payload before anything is allocated.
+    """
+    if len(payload) < offset + count.size:
+        raise WireFormatError(f"bit block lacks its {count.size}-byte count")
+    (nbits,) = count.unpack_from(payload, offset)
+    start = offset + count.size
+    end = start + (nbits + 7) // 8
+    if len(payload) < end:
+        raise WireFormatError(
+            f"bit block of {nbits} bits needs {end - start} bytes, got {len(payload) - start}"
+        )
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=end - start, offset=start))
+    if bits[nbits:].any():
+        raise WireFormatError("bit block has nonzero padding bits")
+    return bits[:nbits], end
+
+
+def canonical_bit_encoding(bits) -> bytes:
+    """:func:`encode_bit_block` with an 8-byte big-endian bit count.
+
+    The length prefix keeps streams of different lengths from colliding trivially.
+    """
+    return encode_bit_block(bits, CANONICAL_COUNT)
 
 
 def sha1_digest(data: bytes) -> bytes:
@@ -74,31 +92,18 @@ def sha1_digest(data: bytes) -> bytes:
 
 
 def make_tags(streams, r: int) -> list[bytes]:
-    """Tag every stream at once: leading ``r`` bits of SHA-1 over each canonical encoding.
+    """Tag each stream: the leading ``r`` bits of SHA-1 over its canonical encoding.
 
-    Returns each stream's tag as the bytes a :class:`ValidationTag` holds.
-    The streams' bits go into one zero-filled matrix, a row per stream and
-    a whole number of bytes wide, which one ``np.packbits`` packs MSB-first.
-    Row i's first ceil(len_i / 8) bytes behind its 8-byte length header are
-    the stream's :func:`canonical_bit_encoding`, hashed with one SHA-1 each.
-    The matrix is as wide as the longest stream.
+    Returns each stream's tag as the bytes a :class:`ValidationTag` holds,
+    with the unused trailing bits of the last byte zeroed.
     """
     if not 1 <= r <= MAX_TAG_BITS:
         raise ConfigError(f"r must be in [1, {MAX_TAG_BITS}], got {r}")
-    rows = [_as_bits(s) for s in streams]
-    lengths = [row.size for row in rows]
-    width = -(-max(lengths, default=0) // 8)
-    padded = np.zeros((len(rows), 8 * width), dtype=np.uint8)
-    if rows:
-        padded[np.arange(8 * width) < np.array(lengths)[:, None]] = np.concatenate(rows)
-    packed = np.packbits(padded, axis=1).tobytes()
     nbytes = (r + 7) // 8
-    # zero the unused trailing bits of each tag's last byte
     last = 0xFF & (0xFF << (8 * nbytes - r))
     tags = []
-    for i, n in enumerate(lengths):
-        start = i * width
-        digest = sha1_digest(_LEN_HEADER.pack(n) + packed[start : start + (n + 7) // 8])
+    for stream in streams:
+        digest = sha1_digest(canonical_bit_encoding(stream))
         tags.append(digest[: nbytes - 1] + bytes((digest[nbytes - 1] & last,)))
     return tags
 

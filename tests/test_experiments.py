@@ -176,6 +176,11 @@ class TestOverheadComparison:
             assert row["cascade_messages"] >= 2
             assert 1 <= row["errors"] <= 3
 
+    def test_equal_keys_only_on_success(self):
+        rows = experiments.overhead_comparison(trials=20, base_seed=6)
+        assert any(row["skece_keys_equal"] for row in rows)
+        assert all(row["skece_succeeded"] for row in rows if row["skece_keys_equal"])
+
     def test_deterministic_in_seed(self):
         a = experiments.overhead_comparison(trials=5, base_seed=4)
         b = experiments.overhead_comparison(trials=5, base_seed=4)
@@ -206,6 +211,28 @@ BAD_DRIVER_ARGUMENTS = {
     "comparison_negative_seed": (
         lambda: experiments.overhead_comparison(trials=1, base_seed=-1),
         "base_seed",
+    ),
+    "key_material_negative_bits": (
+        lambda: experiments.key_material(experiments.load_scenario("C"), seed=0, min_bits=-5),
+        "min_bits",
+    ),
+    "key_material_fractional_bits": (
+        lambda: experiments.key_material(experiments.load_scenario("C"), seed=0, min_bits=2.5),
+        "min_bits",
+    ),
+    "battery_zero_bits": (
+        lambda: experiments.randomness_battery(["C"], runs=1, min_bits=0),
+        "min_bits",
+    ),
+    "eve_zero_bits": (
+        lambda: experiments.eve_independence(experiments.load_scenario("C"), seed=1, bits_per_stream=0),
+        "bits_per_stream",
+    ),
+    "eve_fractional_bits": (
+        lambda: experiments.eve_independence(
+            experiments.load_scenario("C"), seed=1, bits_per_stream=2.5
+        ),
+        "bits_per_stream",
     ),
 }
 

@@ -196,6 +196,21 @@ class TestPayloadCodecs:
         with pytest.raises(WireFormatError, match="cannot hold 65535 streams"):
             decode_drop_lists(b"\xff\xff" + bytes(8), 10**9)
 
+    @pytest.mark.parametrize(
+        "decoder,payload",
+        [
+            # an X block that claims 2**64 - 1 bits over one byte
+            (decode_diff_vector, bytes([5, 0, 0]) + b"\xff" * 8 + bytes(1)),
+            # a stream mask that claims 65535 streams over one byte
+            (decode_verdict, bytes([protocol.VERDICT_STREAM_MASK, 0xFF, 0xFF, 0])),
+        ],
+        ids=["diff-vector", "verdict-mask"],
+    )
+    def test_hostile_bit_counts_fail_before_allocating(self, decoder, payload):
+        with mock.patch("numpy.unpackbits", side_effect=AssertionError("unpacked")):
+            with pytest.raises(WireFormatError, match="bits needs"):
+                decoder(payload)
+
     def test_tags_round_trip(self):
         tags = [make_tag([1, 0, 1, i % 2], 6).tag for i in range(5)]
         assert decode_tags(encode_tags(tags, 6)) == (6, tags)

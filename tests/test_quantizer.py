@@ -97,6 +97,9 @@ class TestBand:
             # an infinite band would make inf * 0 of a constant row's sigma
             ([[1.0, 2.0]], float("inf")),
             ([[3.0, 3.0]], float("inf")),
+            ([[1.0, 2.0]], "x"),
+            ([[1.0, 2.0]], None),
+            ([[1.0, 2.0]], True),
         ],
     )
     def test_rejects_bad_inputs(self, amplitudes, alpha):

@@ -8,9 +8,12 @@ from skece.errors import ConfigError, ProtocolError, WireFormatError
 from skece.protocol import decode_tags, encode_tags
 from skece.quantizer import BitStream
 from skece.validation import (
+    CANONICAL_COUNT,
     ValidationTag,
     canonical_bit_encoding,
     checking_length,
+    decode_bit_block,
+    encode_bit_block,
     make_tag,
     make_tags,
     sha1_digest,
@@ -30,7 +33,9 @@ FIPS_VECTORS = [
 
 
 class TestCheckingLength:
-    @pytest.mark.parametrize("gamma,r", [(0.98, 6), (0.5, 1), (0.999, 10)])
+    @pytest.mark.parametrize(
+        "gamma,r", [(0.98, 6), (0.5, 1), (0.999, 10), (float(np.nextafter(1.0, 0.0)), 53)]
+    )
     def test_known_values(self, gamma, r):
         assert checking_length(gamma) == r
 
@@ -77,6 +82,28 @@ class TestCanonicalEncoding:
 
     def test_distinct_lengths_cannot_collide(self):
         assert canonical_bit_encoding([0]) != canonical_bit_encoding([0, 0])
+
+
+class TestBitBlock:
+    @pytest.mark.parametrize("count", [CANONICAL_COUNT, struct.Struct(">H")], ids=["Q", "H"])
+    @pytest.mark.parametrize("nbits", [0, 1, 7, 8, 9, 300])
+    def test_round_trip_at_an_offset(self, count, nbits):
+        bits = np.random.default_rng(nbits).integers(0, 2, nbits, dtype=np.uint8)
+        block = encode_bit_block(bits, count)
+        assert block == count.pack(nbits) + np.packbits(bits).tobytes()
+        decoded, end = decode_bit_block(b"\x07" + block + b"\x09", 1, count)
+        assert decoded.tolist() == bits.tolist() and end == 1 + len(block)
+
+    @pytest.mark.parametrize(
+        "payload,words",
+        [
+            (bytes(7), "lacks its 8-byte count"),
+            (bytes(7) + bytes([9, 0]), "needs 2 bytes, got 1"),
+        ],
+    )
+    def test_malformed_blocks(self, payload, words):
+        with pytest.raises(WireFormatError, match=words):
+            decode_bit_block(payload, 0, CANONICAL_COUNT)
 
 
 class TestMakeTag:
