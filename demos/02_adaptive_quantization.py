@@ -23,8 +23,8 @@ print(f"alice drops {quant_a.inside.sum()} samples, bob drops {quant_b.inside.su
 
 drops = (quant_a.inside, quant_b.inside)
 kept = quantizer.keep_mask(*drops, quant_a.inside.shape)
-(bits_a,) = quantizer.extract_streams(quant_a, *drops, party="alice")
-(bits_b,) = quantizer.extract_streams(quant_b, *drops, party="bob")
+(bits_a,) = quantizer.extract_streams(quant_a, *drops)
+(bits_b,) = quantizer.extract_streams(quant_b, *drops)
 agree = int(np.count_nonzero(bits_a.bits == bits_b.bits))
 print(f"jointly kept {kept.sum()} samples -> {len(bits_a)} bits, "
       f"{agree}/{len(bits_a)} agree")

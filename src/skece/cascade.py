@@ -65,7 +65,7 @@ def cascade_reconcile(a, b, cfg: CascadeConfig) -> ReconciliationOutcome:
     """Reconcile Bob's stream against Alice's; Alice's bits never change.
 
     Either stream may be a :class:`BitStream` or a 0/1 sequence; the
-    corrected stream keeps a :class:`BitStream` ``b``'s party and stream.
+    corrected stream is an untagged :class:`BitStream` of Bob's bits.
     """
     bits_a, bits_b = _as_bits(a), _as_bits(b).copy()
     if bits_a.size != bits_b.size:
@@ -117,10 +117,8 @@ def cascade_reconcile(a, b, cfg: CascadeConfig) -> ReconciliationOutcome:
             pb[lo] ^= 1
             bits_b[perm[lo]] ^= 1
 
-    origin = (b.party, b.stream) if isinstance(b, BitStream) else (None, None)
-    corrected = BitStream(bits_b, *origin)
     return ReconciliationOutcome(
-        corrected=corrected,
+        corrected=BitStream(bits_b),
         counters=MessageCounters.from_transcript(link.transcript),
         bits_leaked=leaked,
         converged=converged,

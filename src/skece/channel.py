@@ -62,7 +62,8 @@ class CsiTrace:
 
     A trace from ``simulate`` may leave arrays no session reads to be drawn
     on first read (see ``_LateDraws``); they are checked then as the others
-    are checked here.
+    are checked here. The trace holds a read-only array as it is and a copy
+    of a writeable one, which stays the caller's to write.
     """
 
     party: str
@@ -73,7 +74,7 @@ class CsiTrace:
     def __post_init__(self):
         if self.party not in ("alice", "bob", "eve"):
             raise ConfigError(f"unknown party {self.party!r}")
-        times = np.asarray(self.times, dtype=np.float64)
+        times = _held(self.times)
         # simulate passes its _LateDraws in place of each array it has not
         # drawn; such an array is checked here by shape, in full once drawn
         arrays = {}
@@ -82,7 +83,7 @@ class CsiTrace:
             if isinstance(value, _LateDraws):
                 object.__setattr__(self, "_late", value)
             else:
-                arrays[name] = np.asarray(value, dtype=np.float64)
+                arrays[name] = _held(value)
         amp_shape, ph_shape = (
             arrays[name].shape if name in arrays else self._late.shape for name in _LATE_FIELDS
         )
@@ -208,6 +209,14 @@ class _LateDraws:
         if state["_arrays"] is not None:
             _freeze(state["_arrays"].values())
         self.__dict__.update(state, _lock=threading.Lock())
+
+
+def _held(value) -> np.ndarray:
+    """``value`` as a float64 array that no caller can write through."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.flags.writeable and (arr is value or arr.base is not None):
+        arr = arr.copy(order="K")  # the caller's own array or buffer stays theirs to write
+    return arr
 
 
 def _freeze(values) -> None:
@@ -372,8 +381,11 @@ def simulate(config: ScenarioConfig) -> PairedTraceSet:
     late = _LateDraws(
         rng.bit_generator.state, config, (drift_link, proc_link), (z_drift_eve, z_proc_eve)
     )
-    alice = CsiTrace("alice", times_alice, latent_alice + noise_alice, late)
-    bob = CsiTrace("bob", times_bob, latent_bob + noise_bob, late)
+    amplitude_alice, amplitude_bob = latent_alice + noise_alice, latent_bob + noise_bob
+    # read-only, so the traces hold these arrays rather than copy them
+    _freeze((times_alice, times_bob, amplitude_alice, amplitude_bob))
+    alice = CsiTrace("alice", times_alice, amplitude_alice, late)
+    bob = CsiTrace("bob", times_bob, amplitude_bob, late)
     eve = CsiTrace("eve", times_alice, late, late)
     return PairedTraceSet(alice=alice, bob=bob, eve=eve, config=config)
 
@@ -465,13 +477,12 @@ def load_trace(path, party: str = "alice") -> CsiTrace:
             f"probe at t={rows['time'][first]} has {rows.size % m} of {m} subcarriers",
             line=first + 2,
         )
-    # a C-ordered (n, m) matrix, transposed
-    return CsiTrace(
-        party=party,
-        times=rows["time"][::m].copy(),
-        amplitude_db=np.ascontiguousarray(rows["amplitude_db"].reshape(-1, m)).T,
-        phase_rad=np.ascontiguousarray(rows["phase_rad"].reshape(-1, m)).T,
-    )
+    # the times, then each matrix as a C-ordered (n, m) one transposed
+    arrays = [rows["time"][::m].copy()] + [
+        np.ascontiguousarray(rows[name].reshape(-1, m)).T for name in ("amplitude_db", "phase_rad")
+    ]
+    _freeze(arrays)  # so the trace holds them rather than copy them
+    return CsiTrace(party, *arrays)
 
 
 def _first_bad_line(body: bytes, raw: np.ndarray, feeds) -> TraceFormatError | None:

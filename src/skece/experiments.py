@@ -111,8 +111,8 @@ def extract_party_streams(traces: channel.PairedTraceSet, alpha: float):
     quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, alpha)
     drops = (quant_a.inside, quant_b.inside)
     return (
-        quantizer.extract_streams(quant_a, *drops, party="alice"),
-        quantizer.extract_streams(quant_b, *drops, party="bob"),
+        quantizer.extract_streams(quant_a, *drops),
+        quantizer.extract_streams(quant_b, *drops),
     )
 
 
@@ -191,8 +191,6 @@ def overhead_comparison(
         flipped = grid.copy()
         flat = rng.choice(m * stream_length, size=e, replace=False)
         flipped[np.unravel_index(flat, grid.shape)] ^= 1
-        streams_a = [BitStream(grid[i], party="alice", stream=i) for i in range(m)]
-        streams_b = [BitStream(flipped[i], party="bob", stream=i) for i in range(m)]
         params = protocol.ProtocolParams(
             gamma=gamma,
             theta=theta,
@@ -200,15 +198,13 @@ def overhead_comparison(
             max_rounds=50,
             rng_seed=int(rng.integers(0, 2**63)),
         )
-        outcome = protocol.reconcile_bit_streams(streams_a, streams_b, params)
+        outcome = protocol.reconcile_bit_streams(list(grid), list(flipped), params)
 
         base = rng.integers(0, 2, size=stream_length, dtype=np.uint8)
         noisy = base.copy()
         noisy[rng.choice(stream_length, size=e, replace=False)] ^= 1
         cas = cascade.cascade_reconcile(
-            BitStream(base, party="alice"),
-            BitStream(noisy, party="bob"),
-            cascade.CascadeConfig(rng_seed=int(rng.integers(0, 2**63))),
+            base, noisy, cascade.CascadeConfig(rng_seed=int(rng.integers(0, 2**63)))
         )
         rows.append(
             {
@@ -255,7 +251,7 @@ def key_material(scenario: Scenario, seed: int, min_bits: int = 10_000) -> BitSt
         raise InsufficientBitsError(
             f"matched streams supply {bits.size} bits, below the requested {min_bits}"
         )
-    return BitStream(bits, party="alice", stream=None)
+    return BitStream(bits)
 
 
 def randomness_battery(

@@ -124,19 +124,14 @@ class Link:
 
 @dataclass(frozen=True)
 class MessageCounters:
-    """Per-type and per-direction message/byte accounting for one session.
-
-    Probe traffic is simulated by the channel layer, so it is tracked as a
-    separate counter and excluded from the reconciliation totals.
-    """
+    """Per-type and per-direction message/byte accounting for one session's transcript."""
 
     by_type: dict
     by_direction: dict
     bytes_by_direction: dict
-    probe_messages: int = 0
 
     @classmethod
-    def from_transcript(cls, transcript, probe_messages: int = 0):
+    def from_transcript(cls, transcript):
         by_type: dict[str, int] = {}
         by_direction = {A_TO_B: 0, B_TO_A: 0}
         bytes_by_direction = {A_TO_B: 0, B_TO_A: 0}
@@ -148,7 +143,6 @@ class MessageCounters:
             by_type=by_type,
             by_direction=by_direction,
             bytes_by_direction=bytes_by_direction,
-            probe_messages=probe_messages,
         )
 
     @property
@@ -221,6 +215,12 @@ class EveAttempt:
     correlations: np.ndarray | None
 
 
+def _check_stream_count(m: int) -> None:
+    """A frame counts its streams in 2 bytes."""
+    if m > 0xFFFF:
+        raise WireFormatError(f"too many streams for the wire format: {m}")
+
+
 def encode_drop_lists(inside) -> bytes:
     """DROP_LIST payload of an (m, n) drop mask: m, then per row a count and indices.
 
@@ -228,8 +228,7 @@ def encode_drop_lists(inside) -> bytes:
     """
     inside = np.asarray(inside, dtype=bool)
     m, n = inside.shape
-    if m > 0xFFFF:
-        raise WireFormatError(f"too many streams for the wire format: {m}")
+    _check_stream_count(m)
     counts = inside.sum(axis=1)
     # row-major sample numbers modulo n are the column indices, row by row;
     # each row's count goes in front of that row's indices
@@ -280,6 +279,7 @@ def encode_tags(tags, r: int) -> bytes:
     nbytes = (r + 7) // 8
     if any(len(tag) != nbytes for tag in tags):
         raise ProtocolError(f"aggregated tags must each hold {nbytes} bytes for r={r}")
+    _check_stream_count(len(tags))
     return struct.pack(">BH", r, len(tags)) + b"".join(tags)
 
 
@@ -306,6 +306,7 @@ def decode_tags(payload: bytes) -> tuple[int, list[bytes]]:
 
 
 def encode_verdict_mask(mask) -> bytes:
+    _check_stream_count(len(mask))
     return bytes([VERDICT_STREAM_MASK]) + validation.encode_bit_block(mask, _COUNT16)
 
 
@@ -342,12 +343,13 @@ def _peer_residues(payload: bytes, theta: int) -> tuple[np.ndarray, np.ndarray]:
     return residues, x
 
 
-def _stream_key(mask, streams, key_length: int) -> BitStream | None:
-    """This party's key: its first matched stream that fills the key, if any."""
+def _stream_key(mask, streams, key_length: int) -> tuple[BitStream | None, int | None]:
+    """This party's key and its stream index: its first matched stream that fills the key."""
     for i in np.flatnonzero(mask):
-        if len(streams[i]) == key_length:
-            return BitStream(streams[i].bits, party=streams[i].party, stream=int(i))
-    return None
+        bits = quantizer._as_bits(streams[i])
+        if bits.size == key_length:
+            return BitStream(bits), int(i)
+    return None, None
 
 
 def _allocation(own_distances, peer_residues, streams, params: ProtocolParams):
@@ -363,12 +365,12 @@ def reconcile_bit_streams(
     streams_b,
     params: ProtocolParams,
     link: Link | None = None,
-    probe_messages: int = 0,
 ) -> KeyAgreementResult:
     """Reconciliation stage shared by full sessions and stream-level harnesses.
 
-    Takes both parties' extracted (and already length-capped) streams and
-    runs tag validation plus, when needed, recombination rounds over the
+    Takes both parties' extracted (and already length-capped) streams, each
+    a :class:`BitStream` or any 0/1 sequence whose index is its position,
+    and runs tag validation plus, when needed, recombination rounds over the
     given link. Each party reads the other only through decoded frames and
     decides from its own checks; where the two decisions diverge, the
     session raises :class:`ProtocolError`.
@@ -388,7 +390,7 @@ def reconcile_bit_streams(
             matched_via=via,
             rounds_used=rounds,
             messages=list(link.transcript),
-            counters=MessageCounters.from_transcript(link.transcript, probe_messages),
+            counters=MessageCounters.from_transcript(link.transcript),
             matched_stream_bits=matched_bits,
         )
 
@@ -402,16 +404,16 @@ def reconcile_bit_streams(
         raise ProtocolError(f"expected a stream-mask verdict over {m} streams")
 
     # each party keys on its own verdict: Alice on the mask she decodes, Bob on his own
-    key = _stream_key(mask_a, streams_a, L)
-    peer = _stream_key(mask_b, streams_b, L)
+    key, i_a = _stream_key(mask_a, streams_a, L)
+    peer, i_b = _stream_key(mask_b, streams_b, L)
     if key is not None:
-        if peer is None or peer.stream != key.stream:
-            held = "no stream key" if peer is None else f"stream {peer.stream}"
-            raise ProtocolError(f"Alice keys on stream {key.stream}, but Bob's own check gives {held}")
+        if i_b != i_a:
+            held = "no stream key" if peer is None else f"stream {i_b}"
+            raise ProtocolError(f"Alice keys on stream {i_a}, but Bob's own check gives {held}")
         matched = {int(i): len(streams_a[i]) for i in np.flatnonzero(mask_a)}
-        return result(key, peer, f"stream:{key.stream}", 0, matched)
+        return result(key, peer, f"stream:{i_a}", 0, matched)
     if peer is not None:
-        raise ProtocolError(f"Bob keys on stream {peer.stream}, but Alice decodes no stream key")
+        raise ProtocolError(f"Bob keys on stream {i_b}, but Alice decodes no stream key")
 
     # difference-degree exchange: Alice publishes X and her residues,
     # Bob answers with his residues; each side weights the streams by its
@@ -471,12 +473,8 @@ def exchange_drop_lists(traces: PairedTraceSet, params: ProtocolParams, link: Li
     payload = link.send(B_TO_A, MsgType.DROP_LIST, encode_drop_lists(quant_b.inside))
     drops_b_at_a = decode_drop_lists(payload, quant_a.inside.shape[1])
     return (
-        quantizer.extract_streams(
-            quant_a, quant_a.inside, drops_b_at_a, traces.alice.party, params.key_length
-        ),
-        quantizer.extract_streams(
-            quant_b, drops_a_at_b, quant_b.inside, traces.bob.party, params.key_length
-        ),
+        quantizer.extract_streams(quant_a, quant_a.inside, drops_b_at_a, params.key_length),
+        quantizer.extract_streams(quant_b, drops_a_at_b, quant_b.inside, params.key_length),
     )
 
 
@@ -485,8 +483,8 @@ def run_key_agreement(
 ) -> tuple[KeyAgreementResult, EveView]:
     """Full pipeline from CSI traces: quantize, exchange, validate, recombine.
 
-    Probing itself is embodied in the traces (two messages per probe), so
-    probe traffic enters the counters but not the transcript.
+    Probing itself is embodied in the traces, so probe traffic enters
+    neither the transcript nor the counters.
     """
     link = Link()
     streams_a, streams_b = exchange_drop_lists(traces, params, link)
@@ -496,13 +494,7 @@ def run_key_agreement(
             f"need {params.key_length}; increase probe_count"
         )
 
-    outcome = reconcile_bit_streams(
-        streams_a,
-        streams_b,
-        params,
-        link=link,
-        probe_messages=2 * traces.n,
-    )
+    outcome = reconcile_bit_streams(streams_a, streams_b, params, link=link)
     eve_view = EveView(
         transcript=list(link.transcript),
         trace=traces.eve,
@@ -531,7 +523,7 @@ def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
     keep = quantizer.keep_mask(drops_a, drops_b, quant.inside.shape)
     # a kept sample inside her own band is a coin toss; she calls it by her mean
     guess = quant.ones | (quant.inside & (trace.amplitude_db >= quant.mu[:, None]))
-    guesses = quantizer.split_streams(guess, keep, party="eve", limit=eve_view.key_length)
+    guesses = quantizer.split_streams(guess, keep, eve_view.key_length)
 
     correlations = None
     if reference_streams is not None:

@@ -29,7 +29,10 @@ PARTIES = ("alice", "bob", "eve")
 
 @dataclass(frozen=True)
 class BitStream:
-    """An ordered 0/1 sequence with its provenance (party, stream index)."""
+    """An ordered 0/1 sequence; a stream's index is its position in its list.
+
+    No stage reads or sets ``party`` and ``stream``; the benchmark still passes them.
+    """
 
     bits: np.ndarray
     party: str | None = None
@@ -45,16 +48,16 @@ class BitStream:
             raise ConfigError(f"unknown party {self.party!r}")
 
     @classmethod
-    def _unchecked(cls, bits: np.ndarray, party: str | None, stream: int | None) -> BitStream:
-        """A stream that skips ``__post_init__``: for callers that made its checks already.
+    def _unchecked(cls, bits: np.ndarray) -> BitStream:
+        """An untagged stream that skips ``__post_init__``, for callers that made its checks.
 
         ``bits`` must be a read-only one-dimensional uint8 array of 0s and 1s,
-        such as a slice of a read-only array that :func:`_as_bits` returned,
-        and ``party`` one of :data:`PARTIES` or None. :func:`split_streams`
-        checks all streams' bits with one scan and builds each stream here.
+        such as a slice of a read-only array that :func:`_as_bits` returned.
+        :func:`split_streams` checks all streams' bits with one scan and
+        builds each stream here.
         """
         obj = object.__new__(cls)
-        obj.__dict__.update(bits=bits, party=party, stream=stream)
+        obj.__dict__.update(bits=bits, party=None, stream=None)
         return obj
 
     def __len__(self) -> int:
@@ -148,21 +151,19 @@ def keep_mask(drops_a, drops_b, shape) -> np.ndarray:
     return keep
 
 
-def split_streams(bits, keep, party: str | None = None, limit: int | None = None):
+def split_streams(bits, keep, limit: int | None = None) -> list[BitStream]:
     """Row i's bits at its kept samples as stream i, capped at ``limit`` bits.
 
     ``bits`` and ``keep`` are (m, n) arrays. The kept bits of all rows are
     checked for values other than 0 and 1 with one scan and made read-only
     as one array; each stream is a slice of it.
     """
-    if party is not None and party not in PARTIES:
-        raise ConfigError(f"unknown party {party!r}")
     flat = _as_bits(np.asarray(bits)[keep])
     flat.setflags(write=False)
     ends = np.cumsum(keep.sum(axis=1)).tolist()
     return [
-        BitStream._unchecked(flat[start:end][:limit], party, i)
-        for i, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+        BitStream._unchecked(flat[start:end][:limit])
+        for start, end in zip([0] + ends[:-1], ends)
     ]
 
 
@@ -170,7 +171,6 @@ def extract_streams(
     quantized: MatrixQuantization,
     drops_a,
     drops_b,
-    party: str | None = None,
     limit: int | None = None,
 ) -> list[BitStream]:
     """The party's per-stream bits at the samples neither party dropped.
@@ -187,7 +187,7 @@ def extract_streams(
             f"stream {i}: kept index {k} lies strictly inside the quantization "
             "band; drop lists are out of sync"
         )
-    return split_streams(quantized.ones, keep, party=party, limit=limit)
+    return split_streams(quantized.ones, keep, limit)
 
 
 def _one_row(matrix, what: str) -> None:
@@ -229,5 +229,5 @@ def extract_bits(
     tracer wraps :func:`quantize_matrix` and :func:`extract_streams`.
     """
     _one_row(quantized.inside, "quantization")
-    (bits,) = extract_streams(quantized, drops_a, drops_b, party=party)
+    (bits,) = extract_streams(quantized, drops_a, drops_b)
     return BitStream(bits.bits, party=party, stream=stream)

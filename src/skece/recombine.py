@@ -230,9 +230,7 @@ def recombine(streams, rec_plan) -> BitStream:
         )
     starts = np.cumsum(sizes) - sizes
     out = np.concatenate(arrays)[starts[picked] + pos] if arrays else np.zeros(0, np.uint8)
-    parties = {s.party for s in streams if isinstance(s, BitStream)}
-    party = parties.pop() if len(parties) == 1 else None
-    return BitStream(out, party=party, stream=None)
+    return BitStream(out)
 
 
 def success_probability(d_hat, picks, key_length: int, rounds: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, WireFormatError
+from .errors import ConfigError, ProtocolError, WireFormatError, check_real
 from .quantizer import _as_bits
 
 MAX_TAG_BITS = 160  # SHA-1 digest length
@@ -44,8 +44,7 @@ class ValidationTag:
 
 def checking_length(gamma: float) -> int:
     """Smallest r with 1 - (1/2)**r >= gamma: at most 53, as no float below 1 exceeds 1 - 2**-53."""
-    if not 0.0 < gamma < 1.0:
-        raise ConfigError(f"gamma must lie strictly in (0, 1), got {gamma}")
+    check_real("gamma", gamma, 0, 1, low_open=True, high_open=True)
     r = 1
     while 1.0 - 0.5**r < gamma:
         r += 1

@@ -220,6 +220,22 @@ class TestCsiTraceInvariants:
         with pytest.raises(ValueError, match="read-only"):
             dup.times[0] = 5.0
 
+    def test_the_callers_arrays_stay_writeable_and_apart(self):
+        times, amp, phase = np.array([0.0, 1.0]), np.zeros((1, 2)), np.zeros((3, 2))[1:2]
+        t = CsiTrace("alice", times, amp, phase)
+        for arr in (times, amp, phase):
+            assert arr.flags.writeable
+            arr[...] = 7.0
+        assert t == CsiTrace("alice", np.array([0.0, 1.0]), np.zeros((1, 2)), np.zeros((1, 2)))
+        assert not t.times.flags.writeable
+
+    def test_read_only_arrays_are_held_uncopied(self):
+        times, amp = np.array([0.0, 1.0]), np.zeros((2, 1)).T
+        for arr in (times, amp):
+            arr.setflags(write=False)
+        t = CsiTrace("bob", times, amp, amp)
+        assert t.times is times and t.amplitude_db is amp and t.phase_rad is amp
+
 
 class TestTraceFiles:
     def test_round_trip_reproduces_trace(self, tmp_path):
@@ -563,12 +579,10 @@ def strict_reference(data: bytes, party: str):
     if len(rows) % m:
         return len(rows) - len(rows) % m + 2
     times, _, amp, phase = (np.array(column) for column in zip(*rows))
-    return CsiTrace(
-        party=party,
-        times=times[::m].copy(),
-        amplitude_db=amp.reshape(-1, m).T,
-        phase_rad=phase.reshape(-1, m).T,
-    )
+    fields = (times[::m].copy(), amp.reshape(-1, m).T, phase.reshape(-1, m).T)
+    for arr in fields:  # read-only, as the loader's are, so the trace holds them uncopied
+        arr.setflags(write=False)
+    return CsiTrace(party, *fields)
 
 
 class TestLoaderMatchesAStrictReference:

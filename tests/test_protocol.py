@@ -211,6 +211,21 @@ class TestPayloadCodecs:
             with pytest.raises(WireFormatError, match="bits needs"):
                 decoder(payload)
 
+    @pytest.mark.parametrize(
+        "encode_streams",
+        [
+            lambda m: encode_tags([bytes(1)] * m, 6),
+            lambda m: encode_verdict_mask(np.zeros(m, dtype=bool)),
+            lambda m: encode_drop_lists(np.zeros((m, 1), dtype=bool)),
+            lambda m: encode_diff_vector(5, np.zeros(m, dtype=np.int64), []),
+        ],
+        ids=["tags", "verdict-mask", "drop-lists", "diff-vector"],
+    )
+    def test_more_streams_than_the_count_field_holds_is_a_wire_error(self, encode_streams):
+        encode_streams(0xFFFF)
+        with pytest.raises(WireFormatError, match="too many streams for the wire format: 65536"):
+            encode_streams(0x10000)
+
     def test_tags_round_trip(self):
         tags = [make_tag([1, 0, 1, i % 2], 6).tag for i in range(5)]
         assert decode_tags(encode_tags(tags, 6)) == (6, tags)
@@ -317,7 +332,6 @@ class TestDirectMatch:
         for msg in result.messages:
             by_dir[msg.direction] += 1
         assert result.counters.by_direction == by_dir
-        assert result.counters.probe_messages == 2 * traces.n
 
     def test_matched_stream_bits_reported(self):
         traces = simulate(clean_config(noise_std=0.0))
@@ -375,11 +389,29 @@ class TestRecombinationPath:
         with pytest.raises(InsufficientBitsError):
             run_key_agreement(traces, params)
 
+    def test_more_streams_than_a_frame_counts_is_a_wire_error(self):
+        streams = list(np.ones((0x10000, 1), dtype=np.uint8))
+        with pytest.raises(WireFormatError, match="too many streams"):
+            reconcile_bit_streams(streams, streams, ProtocolParams(key_length=1))
+
     def test_stream_count_disagreement(self):
         rng = np.random.default_rng(13)
         streams_a, streams_b = dirty_streams(rng, m=3, length=50)
         with pytest.raises(ProtocolError):
             reconcile_bit_streams(streams_a, streams_b[:2], ProtocolParams(key_length=50))
+
+
+def preset_session_streams():
+    """A preset-A session's streams, which key on a matched stream."""
+    scenario = experiments.load_scenario("A")
+    params = ProtocolParams(alpha=scenario.alpha, key_length=128, rng_seed=18)
+    streams = protocol.exchange_drop_lists(simulate(scenario.config), params, protocol.Link())
+    return streams, params, "stream:"
+
+
+def dirty_session_streams():
+    streams = dirty_streams(np.random.default_rng(19))
+    return streams, ProtocolParams(key_length=200, max_rounds=500, rng_seed=20), "recombination"
 
 
 class TestDeterminism:
@@ -401,6 +433,22 @@ class TestDeterminism:
             return b"".join(encode(m) for m in result.messages)
 
         assert run() == run()
+
+    @pytest.mark.parametrize(
+        "case", [preset_session_streams, dirty_session_streams], ids=["stream", "recombination"]
+    )
+    def test_plain_arrays_and_bitstreams_give_the_same_session(self, case):
+        (streams_a, streams_b), params, via = case()
+
+        def outcome(a, b):
+            r = reconcile_bit_streams(a, b, params)
+            wire = b"".join(encode(m) for m in r.messages)
+            return wire, r.matched_via, r.rounds_used, r.key.bits.tolist(), r.peer_key.bits.tolist()
+
+        from_streams = outcome(streams_a, streams_b)
+        assert from_streams[1].startswith(via)
+        plain_a, plain_b = ([s.bits.copy() for s in streams] for streams in (streams_a, streams_b))
+        assert outcome(plain_a, plain_b) == from_streams
 
 
 class TestEve:
@@ -541,16 +589,17 @@ class TestReceiverActsOnTheWire:
             self.session(monkeypatch, rewrite_first(MsgType.VERDICT, B_TO_A, lambda p: only_stream_1))
 
     def test_lost_bob_drop_changes_only_that_row_of_alices_streams(self, monkeypatch):
-        seen = {}
+        seen = []
         extract = quantizer.extract_streams
 
-        def spy(quantized, drops_a, drops_b, party=None, limit=None):
-            seen[party] = extract(quantized, drops_a, drops_b, party=party, limit=limit)
-            return seen[party]
+        def spy(quantized, drops_a, drops_b, limit=None):
+            seen.append(extract(quantized, drops_a, drops_b, limit=limit))
+            return seen[-1]
 
         monkeypatch.setattr(quantizer, "extract_streams", spy)
         traces, _ = self.session(monkeypatch, lambda d, t, p: p)
-        honest = dict(seen)
+        # a session extracts Alice's streams first, then Bob's
+        honest = dict(zip(("alice", "bob"), seen))
         inside_a = quantizer.quantize_matrix(traces.alice.amplitude_db, 0.4).inside
 
         def lose_one_drop(payload):
@@ -559,11 +608,12 @@ class TestReceiverActsOnTheWire:
             return encode_drop_lists(drops_b)
 
         self.session(monkeypatch, rewrite_first(MsgType.DROP_LIST, B_TO_A, lose_one_drop))
-        assert seen["alice"][2] != honest["alice"][2]
-        assert [s for i, s in enumerate(seen["alice"]) if i != 2] == [
+        lossy = dict(zip(("alice", "bob"), seen[2:]))
+        assert lossy["alice"][2] != honest["alice"][2]
+        assert [s for i, s in enumerate(lossy["alice"]) if i != 2] == [
             s for i, s in enumerate(honest["alice"]) if i != 2
         ]
-        assert seen["bob"] == honest["bob"]
+        assert lossy["bob"] == honest["bob"]
 
 
 class TestSessionRejectsInconsistentFrames:

@@ -174,25 +174,23 @@ class TestExtractStreams:
             alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
             qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
             keep = keep_mask(qa.inside, qb.inside, (m, n))
-            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
-            streams_b = extract_streams(qb, qa.inside, qb.inside, "bob", n // 3)
+            streams_a = extract_streams(qa, qa.inside, qb.inside)
+            streams_b = extract_streams(qb, qa.inside, qb.inside, n // 3)
             for i, (stats, kept, bits) in enumerate(reference(amp_a, amp_b, alpha)):
                 for q, (mu, sigma, drops) in zip((qa, qb), stats):
                     assert (q.mu[i], q.sigma[i]) == (mu, sigma)
                     assert q.inside[i].tolist() == drops
                 assert np.flatnonzero(keep[i]).tolist() == kept
-                assert streams_a[i] == BitStream(bits[0], "alice", i)
-                assert streams_b[i] == BitStream(bits[1][: n // 3], "bob", i)
+                assert streams_a[i] == BitStream(bits[0])
+                assert streams_b[i] == BitStream(bits[1][: n // 3])
 
 
 class TestSplitStreams:
     def test_streams_are_read_only_slices_of_the_kept_bits(self):
         bits = np.array([[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
         keep = np.array([[True, True, False, True], [False] * 4, [True] * 4])
-        streams = split_streams(bits, keep, party="bob", limit=3)
-        assert streams == [
-            BitStream([1, 0, 1], "bob", 0), BitStream([], "bob", 1), BitStream([1, 1, 1], "bob", 2)
-        ]
+        streams = split_streams(bits, keep, limit=3)
+        assert streams == [BitStream([1, 0, 1]), BitStream([]), BitStream([1, 1, 1])]
         for s in streams:
             assert s.bits.dtype == np.uint8 and not s.bits.flags.writeable
             with pytest.raises(ValueError):
@@ -217,7 +215,7 @@ class TestSplitStreams:
 
     def test_unknown_party_is_refused(self):
         with pytest.raises(ConfigError, match="unknown party"):
-            split_streams(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), party="mallory")
+            BitStream([1], party="mallory")
 
 
 class TestOneRowDelegates:
@@ -228,7 +226,7 @@ class TestOneRowDelegates:
             alpha = float(rng.choice([0.0, 0.3, 0.7, 1.2]))
             qa, qb = quantize_matrix(amp_a, alpha), quantize_matrix(amp_b, alpha)
             keep = keep_mask(qa.inside, qb.inside, qa.inside.shape)
-            streams_a = extract_streams(qa, qa.inside, qb.inside, party="alice")
+            streams_a = extract_streams(qa, qa.inside, qb.inside)
             for i in range(len(amp_a)):
                 ra, rb = quantize_stream(amp_a[i], alpha), quantize_stream(amp_b[i], alpha)
                 assert (ra.mu.tolist(), ra.sigma.tolist()) == ([qa.mu[i]], [qa.sigma[i]])
@@ -236,8 +234,9 @@ class TestOneRowDelegates:
                 assert np.array_equal(ra.ones, qa.ones[i : i + 1])
                 kept = merge_kept(ra.inside, rb.inside)
                 assert kept.tolist() == np.flatnonzero(keep[i]).tolist()
-                assert extract_bits(ra, ra.inside, rb.inside, "alice", i) == streams_a[i]
-                assert extract_bits(ra, ra.inside, rb.inside).stream is None
+                tagged = BitStream(streams_a[i].bits, "alice", i)
+                assert extract_bits(ra, ra.inside, rb.inside, "alice", i) == tagged
+                assert extract_bits(ra, ra.inside, rb.inside) == streams_a[i]
 
     def test_delegates_take_one_row_only(self):
         with pytest.raises(ConfigError):

@@ -198,8 +198,8 @@ def session_streams(traces, params):
     quant_b = quantizer.quantize_matrix(traces.bob.amplitude_db, params.alpha)
     drops = (quant_a.inside, quant_b.inside)
     return (
-        quantizer.extract_streams(quant_a, *drops, "alice", params.key_length),
-        quantizer.extract_streams(quant_b, *drops, "bob", params.key_length),
+        quantizer.extract_streams(quant_a, *drops, params.key_length),
+        quantizer.extract_streams(quant_b, *drops, params.key_length),
     )
 
 

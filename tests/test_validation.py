@@ -39,7 +39,7 @@ class TestCheckingLength:
     def test_known_values(self, gamma, r):
         assert checking_length(gamma) == r
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5, "0.5", None])
     def test_rejects_out_of_range(self, gamma):
         with pytest.raises(ConfigError):
             checking_length(gamma)
