@@ -325,7 +325,10 @@ def eve_independence(
     """Per-stream Pearson correlation between Eve's guesses and Alice's bits.
 
     Eve's guesses read only the two DROP_LIST frames, so the session stops
-    after that exchange; its streams for Alice are the reference.
+    after that exchange; its streams for Alice are the reference. A guess
+    and its reference share kept samples and cap, so they are equally long.
+    A stream of fewer than 2 bits, or one whose guess or reference is
+    constant, has no correlation and reads NaN.
     """
     check_integer("bits_per_stream", bits_per_stream, 1)
     keep = keep_rate_estimate(scenario.alpha)
@@ -341,4 +344,8 @@ def eve_independence(
         alpha=params.alpha,
         key_length=params.key_length,
     )
-    return protocol.eve_attempt(eve_view, reference_streams=streams_a).correlations
+    correlations = np.full(len(streams_a), np.nan)
+    for i, (guess, ref) in enumerate(zip(protocol.eve_attempt(eve_view), streams_a)):
+        if len(ref) >= 2 and guess.bits.std() > 0 and ref.bits.std() > 0:
+            correlations[i] = analysis.pearson(guess.bits, ref.bits)
+    return correlations

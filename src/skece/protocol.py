@@ -124,34 +124,17 @@ class Link:
 
 @dataclass(frozen=True)
 class MessageCounters:
-    """Per-type and per-direction message/byte accounting for one session's transcript."""
+    """Message and byte totals of one session's transcript."""
 
-    by_type: dict
-    by_direction: dict
-    bytes_by_direction: dict
+    total_messages: int
+    total_bytes: int
 
     @classmethod
     def from_transcript(cls, transcript):
-        by_type: dict[str, int] = {}
-        by_direction = {A_TO_B: 0, B_TO_A: 0}
-        bytes_by_direction = {A_TO_B: 0, B_TO_A: 0}
-        for msg in transcript:
-            by_type[msg.msg_type.name] = by_type.get(msg.msg_type.name, 0) + 1
-            by_direction[msg.direction] += 1
-            bytes_by_direction[msg.direction] += msg.wire_length
         return cls(
-            by_type=by_type,
-            by_direction=by_direction,
-            bytes_by_direction=bytes_by_direction,
+            total_messages=len(transcript),
+            total_bytes=sum(msg.wire_length for msg in transcript),
         )
-
-    @property
-    def total_messages(self) -> int:
-        return self.by_direction[A_TO_B] + self.by_direction[B_TO_A]
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_by_direction[A_TO_B] + self.bytes_by_direction[B_TO_A]
 
 
 @dataclass(frozen=True)
@@ -205,14 +188,6 @@ class EveView:
     trace: CsiTrace | None
     alpha: float
     key_length: int
-
-
-@dataclass(frozen=True)
-class EveAttempt:
-    """Eve's best-effort per-stream bit guesses and their correlation report."""
-
-    bit_streams: list
-    correlations: np.ndarray | None
 
 
 def _check_stream_count(m: int) -> None:
@@ -378,6 +353,7 @@ def reconcile_bit_streams(
     m = len(streams_a)
     if m == 0:
         raise ConfigError("need at least one stream")
+    _check_stream_count(m)
     link = link if link is not None else Link()
     rng = np.random.default_rng(np.random.SeedSequence([params.rng_seed, 0x5EC]))
     L = params.key_length
@@ -504,13 +480,12 @@ def run_key_agreement(
     return outcome, eve_view
 
 
-def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
-    """Eve quantizes her own trace with the public drop lists and parameters.
+def eve_attempt(eve_view: EveView) -> list[BitStream]:
+    """Eve's per-stream bit guesses from her own trace and the public drop lists.
 
     Kept indices that fall strictly inside her band default to a comparison
-    against her mean. When the caller supplies the true per-stream key
-    material, the report carries the Pearson correlation of Eve's guesses
-    against it (an evaluation artifact: Eve herself never sees the truth).
+    against her mean. Scoring the guesses needs the parties' bits, which
+    Eve never sees; :func:`experiments.eve_independence` does that.
     """
     if eve_view.trace is None:
         raise ProtocolError("eavesdropper view carries no channel trace")
@@ -523,22 +498,7 @@ def eve_attempt(eve_view: EveView, reference_streams=None) -> EveAttempt:
     keep = quantizer.keep_mask(drops_a, drops_b, quant.inside.shape)
     # a kept sample inside her own band is a coin toss; she calls it by her mean
     guess = quant.ones | (quant.inside & (trace.amplitude_db >= quant.mu[:, None]))
-    guesses = quantizer.split_streams(guess, keep, eve_view.key_length)
-
-    correlations = None
-    if reference_streams is not None:
-        from .analysis import pearson
-
-        correlations = np.full(len(guesses), np.nan)
-        for i, (g, ref) in enumerate(zip(guesses, reference_streams)):
-            ref_bits = quantizer._as_bits(ref)
-            k = min(len(g), ref_bits.size)
-            if k >= 2:
-                ga = g.bits[:k].astype(float)
-                rb = ref_bits[:k].astype(float)
-                if ga.std() > 0 and rb.std() > 0:
-                    correlations[i] = pearson(ga, rb)
-    return EveAttempt(bit_streams=guesses, correlations=correlations)
+    return quantizer.split_streams(guess, keep, eve_view.key_length)
 
 
 def transcript_to_jsonl(transcript) -> str:

@@ -2,7 +2,8 @@
 
 Each digest pins, byte for byte, what the quantizer feeds into the rest of
 the pipeline: transcripts and keys of full sessions for presets A-F, the
-eavesdropper's guesses for those sessions, key material for one preset,
+eavesdropper's guesses for those sessions and their correlations with
+Alice's bits for one preset, key material for one preset,
 the attack experiment's bit waves and one alpha sweep. A change to the
 thresholds, the drop lists, the kept indices, the bit order or the length
 cap changes a digest. The digests were taken from the per-stream quantizer
@@ -100,9 +101,18 @@ def test_session_transcripts_and_keys(case):
 def test_eve_guesses(case):
     chunks = []
     for _, eve_view in _sessions(*case):
-        attempt = protocol.eve_attempt(eve_view)
-        chunks += [_bits(s) for s in attempt.bit_streams]
+        chunks += [_bits(s) for s in protocol.eve_attempt(eve_view)]
     assert _sha(chunks) == EVE_DIGESTS[case]
+
+
+def test_eve_independence_correlations():
+    cors = experiments.eve_independence(
+        experiments.load_scenario("C"), seed=7, bits_per_stream=2000
+    )
+    assert cors.dtype == np.float64 and cors.shape == (30,)
+    assert hashlib.sha256(cors.tobytes()).hexdigest() == (
+        "fdc30cf847e2b7d7c2609f56a8f99fc5cff1cc70c9e7d7e2ccaf73c8c141f39b"
+    )
 
 
 def test_recombining_sessions_reach_diff_vector():

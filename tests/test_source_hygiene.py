@@ -1,4 +1,5 @@
-"""Static checks on the library source: every import is used, ``__all__`` resolves."""
+"""Static checks on the library source: every import is used and sits at module level,
+``__all__`` resolves."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,33 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of the imports that sit inside a function, class or block."""
+    tree = ast.parse(source)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
+def test_checker_sees_a_nested_import():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from .analysis import pearson\n"
+        "    return pearson\n"
+        "if np:\n"
+        "    import os\n"
+    )
+    assert nested_imports(source) == [3, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_exported_name_resolves():
