@@ -13,7 +13,7 @@ Both parties run in one process, but each reads its peer only through
 :meth:`Link.send`, which returns what the receiver decodes from the frame.
 
 Wire format: TLV frames of 1-byte type, 4-byte big-endian payload length,
-payload. Payloads never carry raw key bits; only drop indices, truncated
+payload. Payloads never carry raw key bits; only drop masks, truncated
 digests, modular distances, the public reference string, seeds, parities
 and verdicts travel on the wire.
 """
@@ -197,52 +197,33 @@ def _check_stream_count(m: int) -> None:
 
 
 def encode_drop_lists(inside) -> bytes:
-    """DROP_LIST payload of an (m, n) drop mask: m, then per row a count and indices.
+    """DROP_LIST payload of an (m, n) drop mask: m in 2 bytes, then the row-major mask.
 
-    m is 2 bytes; counts and indices are 4-byte words, all big-endian.
+    The mask is one :func:`validation.encode_bit_block` with a 4-byte bit count.
     """
     inside = np.asarray(inside, dtype=bool)
     m, n = inside.shape
     _check_stream_count(m)
-    counts = inside.sum(axis=1)
-    # row-major sample numbers modulo n are the column indices, row by row;
-    # each row's count goes in front of that row's indices
-    words = np.insert(np.flatnonzero(inside) % n, np.cumsum(counts) - counts, counts)
-    return _COUNT16.pack(m) + words.astype(">u4").tobytes()
+    if m * n > 0xFFFFFFFF:
+        raise WireFormatError(f"a {m}x{n} drop mask overflows the 4-byte bit count")
+    return _COUNT16.pack(m) + validation.encode_bit_block(inside.ravel(), _WORD)
 
 
 def decode_drop_lists(payload: bytes, n: int) -> np.ndarray:
     """Inverse of :func:`encode_drop_lists`: the (m, n) mask of streams of ``n`` samples."""
-    if len(payload) < _COUNT16.size:
-        raise WireFormatError("drop-list payload lacks the stream count")
+    if len(payload) < _COUNT16.size + _WORD.size:
+        raise WireFormatError("drop-list payload lacks its stream and bit counts")
     (m,) = _COUNT16.unpack_from(payload)
-    # every stream carries at least its 4-byte count, which bounds m before allocating
-    body = len(payload) - _COUNT16.size
-    if body < 4 * m or body % 4:
-        raise WireFormatError(f"{len(payload)}-byte drop-list payload cannot hold {m} streams")
-    size = body // 4
-    # each count says how many index words follow it, up to the next count
-    at, counts = [], []
-    pos = 0
-    for _ in range(m):
-        if pos >= size:
-            raise WireFormatError("drop-list payload truncated at a count")
-        (count,) = _WORD.unpack_from(payload, _COUNT16.size + 4 * pos)
-        at.append(pos)
-        counts.append(count)
-        pos += 1 + count
-    if pos != size:
-        raise WireFormatError("drop-list counts disagree with the payload length")
-    is_index = np.ones(size, dtype=bool)
-    is_index[at] = False
-    cols = np.frombuffer(payload, dtype=">u4", offset=_COUNT16.size)[is_index].astype(np.int64)
-    # row-major sample numbers increase strictly iff each row's indices do
-    flat = np.repeat(np.arange(m, dtype=np.int64) * n, counts) + cols
-    if cols.size and (cols.max() >= n or np.any(flat[1:] <= flat[:-1])):
-        raise WireFormatError(f"drop indices must increase strictly and stay below {n}")
-    inside = np.zeros(m * n, dtype=bool)
-    inside[flat] = True
-    return inside.reshape(m, n)
+    (nbits,) = _WORD.unpack_from(payload, _COUNT16.size)
+    # checked before decode_bit_block allocates the bits
+    if nbits != m * n:
+        raise WireFormatError(
+            f"drop-list mask of {nbits} bits disagrees with {m} streams of {n} samples"
+        )
+    bits, end = validation.decode_bit_block(payload, _COUNT16.size, _WORD)
+    if end != len(payload):
+        raise WireFormatError("drop-list payload has bytes after its mask")
+    return bits.astype(bool).reshape(m, n)
 
 
 def encode_tags(tags, r: int) -> bytes:

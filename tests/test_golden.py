@@ -17,6 +17,11 @@ The (C, 256) sessions recombine, and their rounds were pinned again when
 transcripts up to their first RECOMB_SEED frame still hash to a digest taken
 before, and every round's tag and verdict and the keys are checked against
 the reference picks of ``test_recombine``.
+
+The session digests were taken while DROP_LIST frames carried column
+indices. Transcripts reach them through ``test_recombine._legacy``, which
+re-encodes each frame's drop mask in that index format; one more digest per
+test pins the frames as they travel now, as drop masks.
 """
 
 import hashlib
@@ -27,7 +32,12 @@ import numpy as np
 import pytest
 
 from skece import channel, experiments, protocol
-from test_recombine import assert_rounds_follow_reference, session_streams, through_first_seed
+from test_recombine import (
+    _legacy,
+    assert_rounds_follow_reference,
+    session_streams,
+    through_first_seed,
+)
 
 SEEDS = (0, 1, 2)
 
@@ -84,17 +94,34 @@ EVE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SESSION_DIGESTS))
-def test_session_transcripts_and_keys(case):
+# the same sessions with their DROP_LIST frames as they travel
+BITMAP_SESSION_DIGESTS = {
+    ("A", 128): "473c5ad72b471c8f10ee2773fda7c124067de75ea81c46ff3ad8da32d751c095",
+    ("B", 128): "5068798e3579e8e4aa4645b77e2a8904ab03239a6a495f8afbe6b44ecf64130c",
+    ("C", 128): "87be126d04fba02bc6fb850d8b3ce51ecd1c4940eb7536801d41aa253adfc0c2",
+    ("D", 128): "87be126d04fba02bc6fb850d8b3ce51ecd1c4940eb7536801d41aa253adfc0c2",
+    ("E", 128): "26da1de5c2ebbd89a8677080f8ae6467201b1d4fb00ab1c8cea9bcd768c2ee40",
+    ("F", 128): "fbd1d0371daf8408cde21e3a855e1276e1389fa3513c5af1ed852a73ddd8fb9d",
+    ("C", 256): "173b9a1e185eb40a51e72470cd59e6478e98a83a79088a5aceb0b255c8f5e996",
+}
+
+
+def _session_digest(case, transcript) -> str:
     chunks = []
     for result, _ in _sessions(*case):
         chunks += [
-            protocol.transcript_to_jsonl(result.messages).encode("utf-8"),
+            protocol.transcript_to_jsonl(transcript(result.messages)).encode("utf-8"),
             _bits(result.key),
             _bits(result.peer_key),
             str(result.matched_via).encode("ascii"),
         ]
-    assert _sha(chunks) == SESSION_DIGESTS[case]
+    return _sha(chunks)
+
+
+@pytest.mark.parametrize("case", sorted(SESSION_DIGESTS))
+def test_session_transcripts_and_keys(case):
+    assert _session_digest(case, _legacy) == SESSION_DIGESTS[case]
+    assert _session_digest(case, list) == BITMAP_SESSION_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(EVE_DIGESTS))
@@ -121,13 +148,14 @@ def test_recombining_sessions_reach_diff_vector():
 
 
 def test_recombining_sessions_up_to_their_first_round():
-    chunks = [
-        protocol.transcript_to_jsonl(through_first_seed(result.messages)).encode("utf-8")
-        for result, _ in _sessions("C", 256)
-    ]
-    assert _sha(chunks) == (
-        "c4e3e8647bafc3c630cdfbfab0aa684a9e0640254dfe2232c16522698779cba2"
-    )
+    def digest(transcript):
+        return _sha(
+            protocol.transcript_to_jsonl(transcript(through_first_seed(result.messages))).encode()
+            for result, _ in _sessions("C", 256)
+        )
+
+    assert digest(_legacy) == "c4e3e8647bafc3c630cdfbfab0aa684a9e0640254dfe2232c16522698779cba2"
+    assert digest(list) == "7a7683688658da4e46f1127d935d13d4da7df8bef78fc48df24ac1737281a01c"
 
 
 def test_recombining_sessions_follow_the_reference_picks():

@@ -141,9 +141,10 @@ class TestPayloadCodecs:
         for _ in range(20):
             m, n = int(rng.integers(0, 6)), int(rng.integers(1, 50))
             inside = rng.random((m, n)) < rng.random()
-            expected = struct.pack(">H", m) + b"".join(
-                struct.pack(">I", row.sum()) + np.flatnonzero(row).astype(">u4").tobytes()
-                for row in inside
+            bits = "".join("1" if b else "0" for row in inside for b in row)
+            bits += "0" * (-len(bits) % 8)
+            expected = struct.pack(">HI", m, m * n) + bytes(
+                int(bits[k : k + 8], 2) for k in range(0, len(bits), 8)
             )
             assert encode_drop_lists(inside) == expected
 
@@ -164,12 +165,12 @@ class TestPayloadCodecs:
              "empty-outer-rows", "no-samples", "no-streams", "30x300"],
     )
     def test_drop_lists_edge_shapes_match_a_nonzero_encoder_and_round_trip(self, inside):
-        expected = struct.pack(">H", inside.shape[0]) + b"".join(
-            struct.pack(">I", len(np.nonzero(row)[0])) + np.nonzero(row)[0].astype(">u4").tobytes()
-            for row in inside
-        )
+        # each dropped sample sets the bit of its row-major sample number
+        mask = bytearray((inside.size + 7) // 8)
+        for k in np.nonzero(inside.ravel())[0]:
+            mask[k // 8] |= 0x80 >> (k % 8)
         payload = encode_drop_lists(inside)
-        assert payload == expected
+        assert payload == struct.pack(">HI", inside.shape[0], inside.size) + mask
         decoded = decode_drop_lists(payload, inside.shape[1])
         assert decoded.shape == inside.shape and np.array_equal(decoded, inside)
 
@@ -180,22 +181,60 @@ class TestPayloadCodecs:
 
     def test_drop_lists_wire_bytes(self):
         inside = np.array([[False, True, False, True], [False] * 4])
-        payload = bytes.fromhex("0002" "00000002" "00000001" "00000003" "00000000")
+        payload = bytes.fromhex("0002" "00000008" "50")
         assert encode_drop_lists(inside) == payload
-        with pytest.raises(WireFormatError, match="disagree"):
-            decode_drop_lists(payload + bytes(4), 4)
-        with pytest.raises(WireFormatError, match="cannot hold 2 streams"):
+        with pytest.raises(WireFormatError, match="9 bits disagrees with 2 streams of 4"):
+            decode_drop_lists(bytes.fromhex("0002" "00000009" "5000"), 4)
+        with pytest.raises(WireFormatError, match="bytes after its mask"):
             decode_drop_lists(payload + bytes(1), 4)
-        with pytest.raises(WireFormatError, match="below 3"):
+        with pytest.raises(WireFormatError, match="8 bits needs 1 bytes, got 0"):
+            decode_drop_lists(payload[:-1], 4)
+        with pytest.raises(WireFormatError, match="lacks its stream and bit counts"):
+            decode_drop_lists(payload[:5], 4)
+        with pytest.raises(WireFormatError, match="8 bits disagrees with 2 streams of 3"):
             decode_drop_lists(payload, 3)
-        swapped = bytes.fromhex("0002" "00000002" "00000003" "00000001" "00000000")
-        with pytest.raises(WireFormatError, match="increase strictly"):
-            decode_drop_lists(swapped, 4)
+        # 2 streams of 3 samples leave 2 padding bits in the last byte
+        assert decode_drop_lists(bytes.fromhex("0002" "00000006" "54"), 3).tolist() == [
+            [False, True, False], [True, False, True]
+        ]
+        with pytest.raises(WireFormatError, match="nonzero padding"):
+            decode_drop_lists(bytes.fromhex("0002" "00000006" "55"), 3)
 
-    def test_hostile_stream_count_fails_before_allocating(self):
-        # 0xFFFF streams of 10**9 samples would need 61 GiB as a mask
-        with pytest.raises(WireFormatError, match="cannot hold 65535 streams"):
-            decode_drop_lists(b"\xff\xff" + bytes(8), 10**9)
+    @pytest.mark.parametrize(
+        "payload,n",
+        [
+            # 0xFFFF streams of 10**9 samples would need 61 GiB as a mask
+            (b"\xff\xff" + b"\xff" * 4 + bytes(1), 10**9),
+            # a count of 2**32 - 1 bits for 2 streams of 10 samples
+            (b"\x00\x02" + b"\xff" * 4 + bytes(3), 10),
+        ],
+        ids=["65535-streams", "count-not-m-times-n"],
+    )
+    def test_hostile_stream_count_fails_before_allocating(self, payload, n):
+        with mock.patch("numpy.unpackbits", side_effect=AssertionError("unpacked")):
+            with pytest.raises(WireFormatError, match="disagrees with"):
+                decode_drop_lists(payload, n)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(m=st.integers(0, 6), n=st.integers(0, 20), data=st.data())
+    def test_drop_lists_with_any_padding_refuse_or_re_encode(self, m, n, data):
+        nbytes = (m * n + 7) // 8
+        payload = struct.pack(">HI", m, m * n) + data.draw(
+            st.binary(min_size=nbytes, max_size=nbytes)
+        )
+        padding = payload[-1] & (0xFF >> (m * n % 8)) if m * n % 8 else 0
+        if padding:
+            with pytest.raises(WireFormatError, match="nonzero padding"):
+                decode_drop_lists(payload, n)
+        else:
+            assert encode_drop_lists(decode_drop_lists(payload, n)) == payload
+
+    def test_drop_mask_beyond_the_bit_count_is_a_wire_error(self):
+        # 2**32 samples, one more than the 4-byte count holds; flattened, this view takes 4 GiB
+        mask = np.broadcast_to(False, (2, 2**31))
+        with mock.patch("numpy.packbits", side_effect=AssertionError("packed")):
+            with pytest.raises(WireFormatError, match="2x2147483648 drop mask overflows"):
+                encode_drop_lists(mask)
 
     @pytest.mark.parametrize(
         "decoder,payload",
@@ -204,8 +243,10 @@ class TestPayloadCodecs:
             (decode_diff_vector, bytes([5, 0, 0]) + b"\xff" * 8 + bytes(1)),
             # a stream mask that claims 65535 streams over one byte
             (decode_verdict, bytes([protocol.VERDICT_STREAM_MASK, 0xFF, 0xFF, 0])),
+            # a drop mask of 65535 streams of 65537 samples, 2**32 - 1 bits, over one byte
+            (lambda p: decode_drop_lists(p, 65537), b"\xff\xff" + b"\xff" * 4 + bytes(1)),
         ],
-        ids=["diff-vector", "verdict-mask"],
+        ids=["diff-vector", "verdict-mask", "drop-lists"],
     )
     def test_hostile_bit_counts_fail_before_allocating(self, decoder, payload):
         with mock.patch("numpy.unpackbits", side_effect=AssertionError("unpacked")):
@@ -740,6 +781,12 @@ def damaged_frames(draw):
 @st.composite
 def well_sized_payloads(draw, name):
     """A payload of the right size for ``name`` whose padding bits are arbitrary."""
+    if name == "decode_drop_lists":
+        # streams of TRACES.n samples fill whole bytes, so every bit is a sample
+        m = draw(st.integers(0, 8))
+        nbits = m * TRACES.n
+        body = draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
+        return struct.pack(">HI", m, nbits) + body
     if name == "decode_verdict":
         m = draw(st.integers(0, 40))
         body = draw(st.binary(min_size=(m + 7) // 8, max_size=(m + 7) // 8))
@@ -755,6 +802,7 @@ def well_sized_payloads(draw, name):
 
 
 REENCODERS = {
+    "decode_drop_lists": lambda inside, payload: encode_drop_lists(inside),
     "decode_tags": lambda decoded, payload: encode_tags(decoded[1], decoded[0]),
     "decode_verdict": lambda verdict, payload: (
         encode_verdict_mask(verdict) if isinstance(verdict, np.ndarray) else bytes([verdict])

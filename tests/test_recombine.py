@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -17,6 +18,7 @@ from skece.protocol import (
     VERDICT_MISMATCH,
     MsgType,
     ProtocolParams,
+    decode_drop_lists,
     encode_tags,
     reconcile_bit_streams,
     run_key_agreement,
@@ -163,6 +165,34 @@ def _transcript_digest(messages) -> str:
     return hashlib.sha256(transcript_to_jsonl(messages).encode("utf-8")).hexdigest()
 
 
+def index_drop_lists(inside) -> bytes:
+    """A drop mask in the index format that DROP_LIST frames carried before the bitmap.
+
+    m in 2 bytes, then per row a 4-byte count and that row's 4-byte column
+    indices, all big-endian.
+    """
+    return struct.pack(">H", len(inside)) + b"".join(
+        struct.pack(">I", row.sum()) + np.flatnonzero(row).astype(">u4").tobytes()
+        for row in inside
+    )
+
+
+def _legacy(messages) -> list:
+    """A transcript whose DROP_LIST frames are re-encoded in the index format.
+
+    Digests pinned while the frames carried indices still hold through this
+    mapping, so a change to the mask a frame carries still shows.
+    """
+    out = []
+    for msg in messages:
+        if msg.msg_type == MsgType.DROP_LIST:
+            m, nbits = struct.unpack_from(">HI", msg.payload)
+            inside = decode_drop_lists(msg.payload, nbits // m)
+            msg = replace(msg, payload=index_drop_lists(inside))
+        out.append(msg)
+    return out
+
+
 def through_first_seed(messages) -> list:
     """A transcript up to and including its first RECOMB_SEED frame."""
     types = [m.msg_type for m in messages]
@@ -245,7 +275,9 @@ class TestGoldenTranscripts:
 
     Up to and including the first RECOMB_SEED frame, each transcript still
     hashes to the digest taken when every stream's picks had a generator of
-    their own; the rounds after it follow the reference picks.
+    their own; the rounds after it follow the reference picks. The session
+    from traces hashes through :func:`_legacy` to its index-format digests,
+    and one more digest pins its bitmap frames.
     """
 
     def test_full_session_from_noisy_traces(self):
@@ -254,12 +286,16 @@ class TestGoldenTranscripts:
             alpha=0.2, key_length=96, rng_seed=3, max_rounds=5, gamma=0.9999
         )
         result, _ = run_key_agreement(traces, params)
-        assert _transcript_digest(through_first_seed(result.messages)) == (
+        legacy = _legacy(result.messages)
+        assert _transcript_digest(through_first_seed(legacy)) == (
             "94cf67d3edeaf9f473c917aead294995b62dab251ea6e5af5ac71b24ef108e19"
         )
         assert_rounds_follow_reference(result, *session_streams(traces, params), params)
-        assert _transcript_digest(result.messages) == (
+        assert _transcript_digest(legacy) == (
             "fb09388b0e02735d79c72045dea5aca46437e415b965fec9a711a5457e764757"
+        )
+        assert _transcript_digest(result.messages) == (
+            "29a932f26aa6225e738f055fc50ab35df4d43ce868892b00968d3250edceaac3"
         )
 
     def test_reconciliation_over_unequal_streams(self):
